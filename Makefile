@@ -1,6 +1,6 @@
 # Convenience targets for the ENA reproduction.
 
-.PHONY: all build test test-race test-service test-store test-cluster test-dse test-fabric test-workload chaos-short chaos-cluster vet fuzz-short verify bench bench-json bench-compare serve load-smoke experiments csv examples clean
+.PHONY: all build fmt-check test test-race test-service test-store test-cluster test-dse test-fabric test-exp test-workload chaos-short chaos-cluster vet fuzz-short verify bench bench-json bench-compare serve load-smoke experiments csv examples clean
 
 all: build vet test
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	go vet ./...
+
+# Every tracked Go file must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 test:
 	go test ./...
@@ -46,6 +50,13 @@ test-dse:
 # evaluator's worker pool must stay bit-identical across worker counts.
 test-fabric:
 	go test -race ./internal/fabric/
+
+# The experiment harnesses' worker pools under the race detector: Figure 7
+# and the NoC ablation fan their seeded simulations out, scaling prices
+# every series on one shared communicator, and inference replays its batch
+# sweep in parallel — all must stay bit-identical at any GOMAXPROCS.
+test-exp:
+	go test -race -run 'Figure7|AblationNoC|Scaling|Inference' ./internal/exp/
 
 # The DL kernel generators and the batched-FIFO serving simulator under the
 # race detector: the inference experiment's worker pool must stay
@@ -87,7 +98,7 @@ chaos-cluster:
 # including the race pass over the service layer and the chaos suite. The
 # bench gate is a soft warning (leading '-'): it only compares snapshots
 # already committed, so it never blocks when fewer than two exist.
-verify: build vet test test-service test-store test-cluster test-dse test-fabric test-workload chaos-short
+verify: build fmt-check vet test test-service test-store test-cluster test-dse test-fabric test-exp test-workload chaos-short
 	CHAOS_CLUSTER_ITERS=1 go test -count=1 -run='TestChaosClusterSIGKILL' ./cmd/enaserve/
 	-@$(MAKE) --no-print-directory bench-compare
 

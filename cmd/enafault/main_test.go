@@ -117,7 +117,7 @@ func TestNodeSweep(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
-		{},                            // neither -mask nor -sweep
+		{},                                  // neither -mask nor -sweep
 		{"-mask", "gpu:1", "-sweep", "gpu"}, // both
 	}
 	for _, args := range cases {

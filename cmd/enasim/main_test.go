@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"maps"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -53,5 +56,32 @@ func TestRunCancelledContext(t *testing.T) {
 	// observed, but the run must stop far short of all of them.
 	if n := strings.Count(out.String(), "==="); n > 2 {
 		t.Errorf("cancelled run still executed %d experiments", n)
+	}
+}
+
+// nocCounter matches the request counters of a -metrics report.
+var nocCounter = regexp.MustCompile(`(?m)^counter\s+(noc\.(?:remote_)?requests)\s+(\d+)$`)
+
+// TestAblationNoCCountersAcrossGOMAXPROCS: ablation-noc fans its seeded NoC
+// simulations out over a GOMAXPROCS-bounded pool, and the request counters
+// they add to must total the same however many run at once.
+func TestAblationNoCCountersAcrossGOMAXPROCS(t *testing.T) {
+	counters := func(procs int) map[string]string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out bytes.Buffer
+		if code := run(context.Background(), []string{"-run", "ablation-noc", "-metrics"}, &out); code != 0 {
+			t.Fatalf("GOMAXPROCS=%d: run exited %d", procs, code)
+		}
+		got := map[string]string{}
+		for _, m := range nocCounter.FindAllStringSubmatch(out.String(), -1) {
+			got[m[1]] = m[2]
+		}
+		if len(got) != 2 {
+			t.Fatalf("GOMAXPROCS=%d: report lacks noc.requests/noc.remote_requests:\n%s", procs, out.String())
+		}
+		return got
+	}
+	if one, two := counters(1), counters(2); !maps.Equal(one, two) {
+		t.Errorf("counters at GOMAXPROCS=1 %v differ from GOMAXPROCS=2 %v", one, two)
 	}
 }

@@ -172,7 +172,7 @@ func parseMode(s string) (fabric.Mode, error) {
 // EvalScale evaluates one node count of a scale job: the healthy analytic
 // point, plus the degraded re-evaluation when mask kills nodes. It is a pure
 // function of its arguments — the property sharding relies on — and matches
-// the per-size work of fabric.Curve plus the service layer's degraded pass.
+// the per-size work of fabric.Curves plus the service layer's degraded pass.
 func EvalScale(kind string, spec fabric.LinkSpec, k workload.Kernel, rate float64, size int, mode fabric.Mode, mask faults.Mask, seed int64) (ScaleEval, error) {
 	t, err := fabric.New(kind, size, spec)
 	if err != nil {

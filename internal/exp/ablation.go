@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 
 	"ena/internal/arch"
 	"ena/internal/core"
@@ -59,49 +60,47 @@ func (r AblationNoCResult) Render() string {
 // AblationNoC sweeps kernel locality around its calibrated value (the
 // architecturally meaningful knob: cache capacity / placement quality) and
 // compares the EHP's point-to-point interposer wiring against a cheaper
-// chain topology for the highest-traffic kernel.
+// chain topology for the highest-traffic kernel. The seeded simulations
+// (every locality comparison, then both topology runs) are independent, so
+// they run on a GOMAXPROCS-bounded pool.
 func AblationNoC() AblationNoCResult {
 	cfg := arch.BestMeanEHP()
-	var out AblationNoCResult
-	for _, name := range fig7Kernels {
-		k, err := workload.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		for _, delta := range []float64{-0.15, 0, 0.15, 0.30} {
-			kk := k
-			loc := k.CacheLocality + delta
-			if loc < 0 {
-				loc = 0
-			}
-			if loc > 0.95 {
-				loc = 0.95
-			}
-			kk.CacheLocality = loc
-			c := noc.Compare(cfg, kk, 42)
-			out.Rows = append(out.Rows, AblationNoCRow{
-				Kernel:        name,
-				TSVScale:      1,
-				LocalityDelta: delta,
-				PerfVsMono:    c.PerfVsMonolith,
-				OutOfChiplet:  c.OutOfChiplet,
-			})
-		}
-	}
+	ks := fig7KernelList()
+	deltas := []float64{-0.15, 0, 0.15, 0.30}
 	// Topology comparison: the bisection-limited chain vs the EHP's
 	// point-to-point paths, under the heaviest traffic (SNAP).
 	snap, err := workload.ByName("SNAP")
 	if err != nil {
 		panic(err)
 	}
-	for _, topo := range []noc.Topology{noc.PointToPoint, noc.Chain} {
-		r := noc.Simulate(cfg, snap, noc.Options{Seed: 42, Topology: topo})
-		out.Topology = append(out.Topology, TopologyRow{
-			Topology:      topo.String(),
-			SustainedTBps: r.SustainedGBps / 1000,
-			MeanLatencyNs: r.MeanLatencyNs,
-		})
+	topos := []noc.Topology{noc.PointToPoint, noc.Chain}
+	out := AblationNoCResult{
+		Rows:     make([]AblationNoCRow, len(ks)*len(deltas)),
+		Topology: make([]TopologyRow, len(topos)),
 	}
+	parallelFor(len(out.Rows)+len(topos), runtime.GOMAXPROCS(0), func(i int) {
+		if i >= len(out.Rows) {
+			topo := topos[i-len(out.Rows)]
+			r := noc.Simulate(cfg, snap, noc.Options{Seed: 42, Topology: topo})
+			out.Topology[i-len(out.Rows)] = TopologyRow{
+				Topology:      topo.String(),
+				SustainedTBps: r.SustainedGBps / 1000,
+				MeanLatencyNs: r.MeanLatencyNs,
+			}
+			return
+		}
+		k, delta := ks[i/len(deltas)], deltas[i%len(deltas)]
+		kk := k
+		kk.CacheLocality = min(max(k.CacheLocality+delta, 0), 0.95)
+		c := noc.Compare(cfg, kk, 42)
+		out.Rows[i] = AblationNoCRow{
+			Kernel:        k.Name,
+			TSVScale:      1,
+			LocalityDelta: delta,
+			PerfVsMono:    c.PerfVsMonolith,
+			OutOfChiplet:  c.OutOfChiplet,
+		}
+	})
 	return out
 }
 

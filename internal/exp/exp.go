@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ena/internal/arch"
 	"ena/internal/dse"
@@ -92,6 +93,27 @@ func explorations() (base, opt dse.Outcome) {
 		dseOptimzed = dse.Explore(dse.DefaultSpace(), ks, arch.NodePowerBudgetW, powopt.All)
 	})
 	return dseBase, dseOptimzed
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on at most workers
+// goroutines (at least one) and returns when all calls have finished. Each
+// call writes only its own result slot i, so the output is positional and
+// bit-identical for any worker count as long as fn(i) is a pure function of
+// i — which holds for the seeded simulations the harnesses fan out.
+func parallelFor(n, workers int, fn func(i int)) {
+	workers = min(max(workers, 1), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // table is a minimal aligned-text table builder shared by the harnesses.

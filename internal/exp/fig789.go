@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"ena/internal/arch"
@@ -31,18 +32,29 @@ func (r Fig7Result) Render() string {
 }
 
 // Figure7 runs the event-driven chiplet/monolithic comparison at the
-// best-mean configuration (§V-A).
+// best-mean configuration (§V-A). The seeded comparisons are independent,
+// so they run on a GOMAXPROCS-bounded pool.
 func Figure7() Fig7Result {
 	cfg := arch.BestMeanEHP()
-	var out Fig7Result
-	for _, name := range fig7Kernels {
+	ks := fig7KernelList()
+	out := Fig7Result{Rows: make([]noc.Comparison, len(ks))}
+	parallelFor(len(ks), runtime.GOMAXPROCS(0), func(i int) {
+		out.Rows[i] = noc.Compare(cfg, ks[i], 42)
+	})
+	return out
+}
+
+// fig7KernelList resolves fig7Kernels.
+func fig7KernelList() []workload.Kernel {
+	ks := make([]workload.Kernel, len(fig7Kernels))
+	for i, name := range fig7Kernels {
 		k, err := workload.ByName(name)
 		if err != nil {
 			panic(err) // fig7Kernels is a fixed, known list
 		}
-		out.Rows = append(out.Rows, noc.Compare(cfg, k, 42))
+		ks[i] = k
 	}
-	return out
+	return ks
 }
 
 // Fig8MissRates is the swept external-service fraction (the paper plots

@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ena/internal/arch"
 	"ena/internal/core"
@@ -166,51 +164,32 @@ func InferenceWorkers(workers int) InferenceResult {
 	}
 
 	out.Rows = make([]InferenceRow, len(jobs))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				capacity := float64(j.batch) / j.svc[j.batch-1] * 1e9
-				offered := inferenceLoad * capacity
-				res, err := serving.Simulate(serving.Options{
-					QPS:      offered,
-					MaxBatch: j.batch,
-					Requests: inferenceRequests,
-					Seed:     inferenceSeedBase + int64(i),
-					ServiceNs: func(b int) float64 {
-						return j.svc[b-1]
-					},
-				})
-				if err != nil {
-					panic(err) // options are derived from validated presets
-				}
-				out.Rows[i] = InferenceRow{
-					Phase:       j.phase,
-					Batch:       j.batch,
-					BlockTFLOPs: j.tflops,
-					ServiceUs:   j.svc[j.batch-1] / 1e3,
-					CapacityRPS: capacity,
-					OfferedQPS:  offered,
-					Serving:     res,
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(len(jobs), workers, func(i int) {
+		j := jobs[i]
+		capacity := float64(j.batch) / j.svc[j.batch-1] * 1e9
+		offered := inferenceLoad * capacity
+		res, err := serving.Simulate(serving.Options{
+			QPS:      offered,
+			MaxBatch: j.batch,
+			Requests: inferenceRequests,
+			Seed:     inferenceSeedBase + int64(i),
+			ServiceNs: func(b int) float64 {
+				return j.svc[b-1]
+			},
+		})
+		if err != nil {
+			panic(err) // options are derived from validated presets
+		}
+		out.Rows[i] = InferenceRow{
+			Phase:       j.phase,
+			Batch:       j.batch,
+			BlockTFLOPs: j.tflops,
+			ServiceUs:   j.svc[j.batch-1] / 1e3,
+			CapacityRPS: capacity,
+			OfferedQPS:  offered,
+			Serving:     res,
+		}
+	})
 
 	out.Validation = inferenceValidation()
 	return out

@@ -75,25 +75,28 @@ type ScalingResult struct {
 func Scaling() ScalingResult {
 	spec := fabric.DefaultLinkSpec()
 	out := ScalingResult{LinkBWGBps: spec.BandwidthGBps, LatencyNs: spec.LatencyNs}
+	var series []fabric.Series
+	for _, mode := range []fabric.Mode{fabric.Strong, fabric.Weak} {
+		for _, k := range scalingKernels() {
+			series = append(series, fabric.Series{Kernel: k, NodeTFLOPs: NodeRateFor(k), Mode: mode})
+		}
+	}
 	for _, kind := range fabric.Kinds() {
-		for _, mode := range []fabric.Mode{fabric.Strong, fabric.Weak} {
-			for _, k := range scalingKernels() {
-				rate := NodeRateFor(k)
-				pts, err := fabric.Curve(kind, spec, k, rate, scalingSizes, mode, 8)
-				if err != nil {
-					continue
-				}
-				for _, pt := range pts {
-					out.Rows = append(out.Rows, ScalingRow{
-						Topology:    kind,
-						Mode:        mode.String(),
-						Kernel:      k.Name,
-						Nodes:       pt.Nodes,
-						Efficiency:  pt.Efficiency,
-						DeliveredEF: pt.DeliveredTFLOPs / 1e6,
-						IdealEF:     rate * float64(pt.Nodes) / 1e6,
-					})
-				}
+		curves, err := fabric.Curves(kind, spec, series, scalingSizes)
+		if err != nil {
+			continue
+		}
+		for i, s := range series {
+			for _, pt := range curves[i] {
+				out.Rows = append(out.Rows, ScalingRow{
+					Topology:    kind,
+					Mode:        s.Mode.String(),
+					Kernel:      s.Kernel.Name,
+					Nodes:       pt.Nodes,
+					Efficiency:  pt.Efficiency,
+					DeliveredEF: pt.DeliveredTFLOPs / 1e6,
+					IdealEF:     s.NodeTFLOPs * float64(pt.Nodes) / 1e6,
+				})
 			}
 		}
 	}

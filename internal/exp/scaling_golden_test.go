@@ -21,66 +21,66 @@ type goldenScalingKey struct {
 }
 
 var goldenScalingEff = map[goldenScalingKey]float64{
-	{"torus", "strong", "MaxFlops", 1}:      1,
-	{"torus", "strong", "MaxFlops", 50}:     0.022007304893518,
-	{"torus", "strong", "MaxFlops", 1000}:   0.000374901476471408,
-	{"torus", "strong", "MaxFlops", 20000}:  6.40890586751575e-06,
-	{"torus", "strong", "MaxFlops", 100000}: 7.3913348055198e-07,
-	{"torus", "strong", "CoMD", 1}:          1,
-	{"torus", "strong", "CoMD", 50}:         0.609823438147659,
-	{"torus", "strong", "CoMD", 1000}:       0.32811660501347,
-	{"torus", "strong", "CoMD", 20000}:      0.0422640192520759,
-	{"torus", "strong", "CoMD", 100000}:     0.00614854683713765,
-	{"torus", "strong", "HPGMG", 1}:         1,
-	{"torus", "strong", "HPGMG", 50}:        0.723841496614778,
-	{"torus", "strong", "HPGMG", 1000}:      0.476925475476743,
-	{"torus", "strong", "HPGMG", 20000}:     0.136220196304504,
-	{"torus", "strong", "HPGMG", 100000}:    0.0277661425371661,
-	{"torus", "weak", "MaxFlops", 1}:        1,
-	{"torus", "weak", "MaxFlops", 50}:       0.52943971950814,
-	{"torus", "weak", "MaxFlops", 1000}:     0.272749529395449,
-	{"torus", "weak", "MaxFlops", 20000}:    0.11361578773062,
-	{"torus", "weak", "MaxFlops", 100000}:   0.0688262223957051,
-	{"torus", "weak", "CoMD", 1}:            1,
-	{"torus", "weak", "CoMD", 50}:           0.85322390122264,
-	{"torus", "weak", "CoMD", 1000}:         0.853080038275863,
-	{"torus", "weak", "CoMD", 20000}:        0.852664706590255,
-	{"torus", "weak", "CoMD", 100000}:       0.852201928864311,
-	{"torus", "weak", "HPGMG", 1}:           1,
-	{"torus", "weak", "HPGMG", 50}:          0.906424628174562,
-	{"torus", "weak", "HPGMG", 1000}:        0.906392687904499,
-	{"torus", "weak", "HPGMG", 20000}:       0.906300428656426,
-	{"torus", "weak", "HPGMG", 100000}:      0.906197546265313,
-	{"fat-tree", "strong", "MaxFlops", 1}:      1,
-	{"fat-tree", "strong", "MaxFlops", 50}:     0.0165967913319124,
-	{"fat-tree", "strong", "MaxFlops", 1000}:   0.000268910845609412,
-	{"fat-tree", "strong", "MaxFlops", 20000}:  8.81302791648896e-06,
-	{"fat-tree", "strong", "MaxFlops", 100000}: 1.54903195299807e-06,
-	{"fat-tree", "strong", "CoMD", 1}:          1,
-	{"fat-tree", "strong", "CoMD", 50}:         0.439300983600666,
-	{"fat-tree", "strong", "CoMD", 1000}:       0.176386913871899,
-	{"fat-tree", "strong", "CoMD", 20000}:      0.03541450461105,
-	{"fat-tree", "strong", "CoMD", 100000}:     0.00953076619339314,
-	{"fat-tree", "strong", "HPGMG", 1}:         1,
-	{"fat-tree", "strong", "HPGMG", 50}:        0.567411976618417,
-	{"fat-tree", "strong", "HPGMG", 1000}:      0.278297857381827,
-	{"fat-tree", "strong", "HPGMG", 20000}:     0.089145999116246,
-	{"fat-tree", "strong", "HPGMG", 100000}:    0.033251176333094,
-	{"fat-tree", "weak", "MaxFlops", 1}:        1,
-	{"fat-tree", "weak", "MaxFlops", 50}:       0.457654969271797,
-	{"fat-tree", "weak", "MaxFlops", 1000}:     0.211967489202915,
-	{"fat-tree", "weak", "MaxFlops", 20000}:    0.14984934903076,
-	{"fat-tree", "weak", "MaxFlops", 100000}:   0.134126742134612,
-	{"fat-tree", "weak", "CoMD", 1}:            1,
-	{"fat-tree", "weak", "CoMD", 50}:           0.744056078486298,
-	{"fat-tree", "weak", "CoMD", 1000}:         0.706534541836188,
-	{"fat-tree", "weak", "CoMD", 20000}:        0.692402351709636,
-	{"fat-tree", "weak", "CoMD", 100000}:       0.684227665315374,
-	{"fat-tree", "weak", "HPGMG", 1}:           1,
-	{"fat-tree", "weak", "HPGMG", 50}:          0.828872328060124,
-	{"fat-tree", "weak", "HPGMG", 1000}:        0.800523625465694,
-	{"fat-tree", "weak", "HPGMG", 20000}:       0.789620579407439,
-	{"fat-tree", "weak", "HPGMG", 100000}:      0.783229556872276,
+	{"torus", "strong", "MaxFlops", 1}:          1,
+	{"torus", "strong", "MaxFlops", 50}:         0.022007304893518,
+	{"torus", "strong", "MaxFlops", 1000}:       0.000374901476471408,
+	{"torus", "strong", "MaxFlops", 20000}:      6.40890586751575e-06,
+	{"torus", "strong", "MaxFlops", 100000}:     7.3913348055198e-07,
+	{"torus", "strong", "CoMD", 1}:              1,
+	{"torus", "strong", "CoMD", 50}:             0.609823438147659,
+	{"torus", "strong", "CoMD", 1000}:           0.32811660501347,
+	{"torus", "strong", "CoMD", 20000}:          0.0422640192520759,
+	{"torus", "strong", "CoMD", 100000}:         0.00614854683713765,
+	{"torus", "strong", "HPGMG", 1}:             1,
+	{"torus", "strong", "HPGMG", 50}:            0.723841496614778,
+	{"torus", "strong", "HPGMG", 1000}:          0.476925475476743,
+	{"torus", "strong", "HPGMG", 20000}:         0.136220196304504,
+	{"torus", "strong", "HPGMG", 100000}:        0.0277661425371661,
+	{"torus", "weak", "MaxFlops", 1}:            1,
+	{"torus", "weak", "MaxFlops", 50}:           0.52943971950814,
+	{"torus", "weak", "MaxFlops", 1000}:         0.272749529395449,
+	{"torus", "weak", "MaxFlops", 20000}:        0.11361578773062,
+	{"torus", "weak", "MaxFlops", 100000}:       0.0688262223957051,
+	{"torus", "weak", "CoMD", 1}:                1,
+	{"torus", "weak", "CoMD", 50}:               0.85322390122264,
+	{"torus", "weak", "CoMD", 1000}:             0.853080038275863,
+	{"torus", "weak", "CoMD", 20000}:            0.852664706590255,
+	{"torus", "weak", "CoMD", 100000}:           0.852201928864311,
+	{"torus", "weak", "HPGMG", 1}:               1,
+	{"torus", "weak", "HPGMG", 50}:              0.906424628174562,
+	{"torus", "weak", "HPGMG", 1000}:            0.906392687904499,
+	{"torus", "weak", "HPGMG", 20000}:           0.906300428656426,
+	{"torus", "weak", "HPGMG", 100000}:          0.906197546265313,
+	{"fat-tree", "strong", "MaxFlops", 1}:       1,
+	{"fat-tree", "strong", "MaxFlops", 50}:      0.0165967913319124,
+	{"fat-tree", "strong", "MaxFlops", 1000}:    0.000268910845609412,
+	{"fat-tree", "strong", "MaxFlops", 20000}:   8.81302791648896e-06,
+	{"fat-tree", "strong", "MaxFlops", 100000}:  1.54903195299807e-06,
+	{"fat-tree", "strong", "CoMD", 1}:           1,
+	{"fat-tree", "strong", "CoMD", 50}:          0.439300983600666,
+	{"fat-tree", "strong", "CoMD", 1000}:        0.176386913871899,
+	{"fat-tree", "strong", "CoMD", 20000}:       0.03541450461105,
+	{"fat-tree", "strong", "CoMD", 100000}:      0.00953076619339314,
+	{"fat-tree", "strong", "HPGMG", 1}:          1,
+	{"fat-tree", "strong", "HPGMG", 50}:         0.567411976618417,
+	{"fat-tree", "strong", "HPGMG", 1000}:       0.278297857381827,
+	{"fat-tree", "strong", "HPGMG", 20000}:      0.089145999116246,
+	{"fat-tree", "strong", "HPGMG", 100000}:     0.033251176333094,
+	{"fat-tree", "weak", "MaxFlops", 1}:         1,
+	{"fat-tree", "weak", "MaxFlops", 50}:        0.457654969271797,
+	{"fat-tree", "weak", "MaxFlops", 1000}:      0.211967489202915,
+	{"fat-tree", "weak", "MaxFlops", 20000}:     0.14984934903076,
+	{"fat-tree", "weak", "MaxFlops", 100000}:    0.134126742134612,
+	{"fat-tree", "weak", "CoMD", 1}:             1,
+	{"fat-tree", "weak", "CoMD", 50}:            0.744056078486298,
+	{"fat-tree", "weak", "CoMD", 1000}:          0.706534541836188,
+	{"fat-tree", "weak", "CoMD", 20000}:         0.692402351709636,
+	{"fat-tree", "weak", "CoMD", 100000}:        0.684227665315374,
+	{"fat-tree", "weak", "HPGMG", 1}:            1,
+	{"fat-tree", "weak", "HPGMG", 50}:           0.828872328060124,
+	{"fat-tree", "weak", "HPGMG", 1000}:         0.800523625465694,
+	{"fat-tree", "weak", "HPGMG", 20000}:        0.789620579407439,
+	{"fat-tree", "weak", "HPGMG", 100000}:       0.783229556872276,
 	{"dragonfly", "strong", "MaxFlops", 1}:      1,
 	{"dragonfly", "strong", "MaxFlops", 50}:     0.0111260799637752,
 	{"dragonfly", "strong", "MaxFlops", 1000}:   0.000337423978899055,

@@ -1,6 +1,9 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Op selects a collective-communication pattern.
 type Op int
@@ -46,11 +49,18 @@ type msg struct{ src, dst int }
 // launch together, the next round starts when the slowest completes (the
 // round-synchronized semantics both the analytic model and the replay
 // implement). repeat > 1 marks identical back-to-back rounds (the ring's).
+// The schedule does not depend on the payload: split divides the
+// collective's payload into the round's per-message bytes (p for the
+// ring's chunks, 1 elsewhere), so one schedule serves any payload.
 type round struct {
-	bytes  float64
+	split  float64
 	repeat int
 	msgs   []msg
 }
+
+// msgBytes is the per-message payload of the round for a collective moving
+// payload bytes.
+func (r round) msgBytes(payload float64) float64 { return payload / r.split }
 
 // Comm is a communicator: a topology plus the participating nodes. The
 // healthy communicator includes every node; a degraded one excludes the
@@ -103,24 +113,34 @@ func (c *Comm) Topology() Topology { return c.t }
 // Size is the participant count.
 func (c *Comm) Size() int { return len(c.ranks) }
 
-// route returns the links from one node to another, detouring around dead
-// nodes where the topology requires it.
-func (c *Comm) route(src, dst int) ([]int, error) {
+// appendRoute appends the links from one node to another to buf, detouring
+// around dead nodes where the topology requires it.
+func (c *Comm) appendRoute(buf []int, src, dst int) ([]int, error) {
 	if c.dead != nil {
 		if av, ok := c.t.(avoider); ok {
-			return av.routeAvoid(src, dst, c.dead)
+			return av.routeAvoid(buf, src, dst, c.dead)
 		}
 	}
-	return c.t.Route(src, dst), nil
+	return c.t.AppendRoute(buf, src, dst), nil
 }
 
-// rounds generates op's full round schedule for the given payload:
-// AllReduce* take the total vector size, Halo the per-face ghost bytes,
-// AllToAll the per-pair payload. This is the single source of truth for
-// what the collective sends — the analytic cost model and the event-driven
-// replay both consume it (the analytic all-to-all replaces enumeration
-// with closed forms on healthy topologies, over these same rounds).
-func (c *Comm) rounds(op Op, bytes float64) []round {
+// pairs is the number of binomial-step partners in a line of n members:
+// the i = 0, 2*step, 4*step, ... with i+step < n.
+func pairs(n, step int) int {
+	if n <= step {
+		return 0
+	}
+	return (n - step + 2*step - 1) / (2 * step)
+}
+
+// rounds generates op's full round schedule. Payloads follow one
+// convention per op (see round.msgBytes): AllReduce* take the total vector
+// size, Halo the per-face ghost bytes, AllToAll the per-pair payload. This
+// is the single source of truth for what the collective sends — the
+// analytic cost model and the event-driven replay both consume it (the
+// analytic all-to-all replaces enumeration with closed forms on healthy
+// topologies, over these same rounds).
+func (c *Comm) rounds(op Op) []round {
 	p := len(c.ranks)
 	if p < 2 {
 		return nil
@@ -131,56 +151,58 @@ func (c *Comm) rounds(op Op, bytes float64) []round {
 		for i := range ms {
 			ms[i] = msg{src: c.ranks[i], dst: c.ranks[(i+1)%p]}
 		}
-		return []round{{bytes: bytes / float64(p), repeat: 2 * (p - 1), msgs: ms}}
+		return []round{{split: float64(p), repeat: 2 * (p - 1), msgs: ms}}
 
 	case AllReduceTree:
 		var reduce []round
 		if tor, ok := c.t.(*Torus); ok && c.dead == nil {
-			reduce = torusTreeReduce(tor, bytes)
+			reduce = torusTreeReduce(tor)
 		} else {
+			reduce = make([]round, 0, bits.Len(uint(p-1)))
 			for step := 1; step < p; step *= 2 {
-				var ms []msg
+				ms := make([]msg, 0, pairs(p, step))
 				for i := 0; i+step < p; i += 2 * step {
 					ms = append(ms, msg{src: c.ranks[i+step], dst: c.ranks[i]})
 				}
-				reduce = append(reduce, round{bytes: bytes, repeat: 1, msgs: ms})
+				reduce = append(reduce, round{split: 1, repeat: 1, msgs: ms})
 			}
 		}
 		// Broadcast mirrors the reduce: same pairs, reversed order and
 		// direction.
-		out := append([]round(nil), reduce...)
+		out := make([]round, 0, 2*len(reduce))
+		out = append(out, reduce...)
 		for i := len(reduce) - 1; i >= 0; i-- {
 			ms := make([]msg, len(reduce[i].msgs))
 			for j, m := range reduce[i].msgs {
 				ms[j] = msg{src: m.dst, dst: m.src}
 			}
-			out = append(out, round{bytes: bytes, repeat: 1, msgs: ms})
+			out = append(out, round{split: 1, repeat: 1, msgs: ms})
 		}
 		return out
 
 	case Halo:
 		gx, gy, gz := c.t.Grid()
-		var out []round
+		out := make([]round, 0, 6)
 		for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
 			size := [3]int{gx, gy, gz}
 			if (d[0] != 0 && size[0] < 2) || (d[1] != 0 && size[1] < 2) || (d[2] != 0 && size[2] < 2) {
 				continue // a flat dimension has no faces to exchange
 			}
-			var ms []msg
+			ms := make([]msg, 0, p)
 			for _, n := range c.ranks {
 				if dst, ok := c.haloNeighbor(n, d, gx, gy, gz); ok {
 					ms = append(ms, msg{src: n, dst: dst})
 				}
 			}
 			if len(ms) > 0 {
-				out = append(out, round{bytes: bytes, repeat: 1, msgs: ms})
+				out = append(out, round{split: 1, repeat: 1, msgs: ms})
 			}
 		}
 		return out
 
 	case AllToAll:
 		if tor, ok := c.t.(*Torus); ok && c.dead == nil {
-			return torusAllToAll(tor, bytes)
+			return torusAllToAll(tor)
 		}
 		out := make([]round, 0, p-1)
 		for r := 1; r < p; r++ {
@@ -188,7 +210,7 @@ func (c *Comm) rounds(op Op, bytes float64) []round {
 			for i := range ms {
 				ms[i] = msg{src: c.ranks[i], dst: c.ranks[(i+r)%p]}
 			}
-			out = append(out, round{bytes: bytes, repeat: 1, msgs: ms})
+			out = append(out, round{split: 1, repeat: 1, msgs: ms})
 		}
 		return out
 	}
@@ -221,11 +243,11 @@ func (c *Comm) haloNeighbor(n int, d [3]int, gx, gy, gz int) (int, bool) {
 // round's messages travel disjoint same-dimension ring segments, so the
 // rounds are congestion-free by construction (the property the analytic
 // model's zero-contention sum relies on).
-func torusTreeReduce(t *Torus, bytes float64) []round {
-	var out []round
+func torusTreeReduce(t *Torus) []round {
+	out := make([]round, 0, bits.Len(uint(t.X-1))+bits.Len(uint(t.Y-1))+bits.Len(uint(t.Z-1)))
 	addDim := func(size int, node func(i, a, b int) int, spanA, spanB int) {
 		for step := 1; step < size; step *= 2 {
-			var ms []msg
+			ms := make([]msg, 0, pairs(size, step)*spanA*spanB)
 			for i := 0; i+step < size; i += 2 * step {
 				for a := 0; a < spanA; a++ {
 					for b := 0; b < spanB; b++ {
@@ -234,7 +256,7 @@ func torusTreeReduce(t *Torus, bytes float64) []round {
 				}
 			}
 			if len(ms) > 0 {
-				out = append(out, round{bytes: bytes, repeat: 1, msgs: ms})
+				out = append(out, round{split: 1, repeat: 1, msgs: ms})
 			}
 		}
 	}
@@ -249,7 +271,7 @@ func torusTreeReduce(t *Torus, bytes float64) []round {
 // grid offset away. Dimension-ordered routing turns each round into three
 // chained conveyors with zero queueing (see cost.go), which is what makes
 // the closed-form cost exact.
-func torusAllToAll(t *Torus, bytes float64) []round {
+func torusAllToAll(t *Torus) []round {
 	p := t.Nodes()
 	out := make([]round, 0, p-1)
 	for dz := 0; dz < t.Z; dz++ {
@@ -263,7 +285,7 @@ func torusAllToAll(t *Torus, bytes float64) []round {
 					x, y, z := gridCoords(n, t.X, t.Y)
 					ms[n] = msg{src: n, dst: gridIndex((x+dx)%t.X, (y+dy)%t.Y, (z+dz)%t.Z, t.X, t.Y)}
 				}
-				out = append(out, round{bytes: bytes, repeat: 1, msgs: ms})
+				out = append(out, round{split: 1, repeat: 1, msgs: ms})
 			}
 		}
 	}

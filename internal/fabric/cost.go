@@ -32,59 +32,68 @@ package fabric
 // events; the analytic forms cost microseconds at p = 100,000 and are what
 // the scaling curves (scaling.go) and the service's /v1/scale route use.
 
-// pathNs is the uncontended store-and-forward cost of a route: each hop
-// serializes the payload on its link and then pays the hop latency.
-func (c *Comm) pathNs(links []int, bytes float64) float64 {
+// analyticRound prices one round for several payloads at once, writing the
+// round's cost for payloads[i] into ns[i]. loads is a scratch slice of
+// length t.Links(), zeroed on entry and re-zeroed before returning. Every
+// path is appended straight into the reused scratch buffer, which comes
+// back (as used) holding the round's links, so a round allocates nothing
+// once the buffer has grown. Each message is routed once whatever the
+// payload count. maxPathOnly drops the contention term (the ring's conveyor
+// case).
+func (c *Comm) analyticRound(r round, payloads, ns []float64, loads []int32, scratch []int, maxPathOnly bool) ([]int, error) {
 	sp := c.t.Spec()
-	var cost float64
-	for _, l := range links {
-		cost += sp.serNs(bytes, c.t.LinkBW(l)) + sp.latNs()
-	}
-	return cost
-}
-
-// analyticRound prices one round. loads is a scratch slice of length
-// t.Links(), zeroed on entry and re-zeroed before returning. maxPathOnly
-// drops the contention term (the ring's conveyor case).
-func (c *Comm) analyticRound(r round, loads []int32, scratch []int, maxPathOnly bool) (float64, []int, error) {
-	sp := c.t.Spec()
-	var maxPath, extra float64
+	clear(ns)
 	used := scratch[:0]
 	for _, m := range r.msgs {
-		links, err := c.route(m.src, m.dst)
-		if err != nil {
-			return 0, used, err
+		start := len(used)
+		var err error
+		if used, err = c.appendRoute(used, m.src, m.dst); err != nil {
+			return used[:start], err
 		}
-		var cost float64
-		for _, l := range links {
-			cost += sp.serNs(r.bytes, c.t.LinkBW(l)) + sp.latNs()
+		path := used[start:]
+		for _, l := range path {
 			loads[l]++
-			used = append(used, l)
 		}
-		if cost > maxPath {
-			maxPath = cost
+		for i, payload := range payloads {
+			// The uncontended store-and-forward path cost, summed in hop
+			// order: each hop serializes the message and then pays the hop
+			// latency.
+			bytes := r.msgBytes(payload)
+			var cost float64
+			for _, l := range path {
+				cost += sp.serNs(bytes, c.t.LinkBW(l)) + sp.latNs()
+			}
+			if cost > ns[i] {
+				ns[i] = cost
+			}
 		}
 	}
 	if !maxPathOnly {
-		for _, l := range used {
-			if loads[l] > 1 {
-				if e := float64(loads[l]-1) * sp.serNs(r.bytes, c.t.LinkBW(l)); e > extra {
-					extra = e
+		for i, payload := range payloads {
+			bytes := r.msgBytes(payload)
+			var extra float64
+			for _, l := range used {
+				if loads[l] > 1 {
+					if e := float64(loads[l]-1) * sp.serNs(bytes, c.t.LinkBW(l)); e > extra {
+						extra = e
+					}
 				}
 			}
+			ns[i] += extra
 		}
 	}
 	for _, l := range used {
 		loads[l] = 0
 	}
-	return maxPath + extra, used, nil
+	return used, nil
 }
 
 // AnalyticNs prices op for the given payload (see rounds for the payload
 // convention per op) without simulating individual messages. Healthy
 // all-to-alls dispatch to per-topology closed forms; everything else sums
 // per-round merge-formula costs over the same round schedule the replay
-// executes. Degraded communicators may return ErrPartitioned.
+// executes (see roundsNs). Degraded communicators may return
+// ErrPartitioned.
 func (c *Comm) AnalyticNs(op Op, bytes float64) (float64, error) {
 	if c.Size() < 2 {
 		return 0, nil
@@ -99,18 +108,37 @@ func (c *Comm) AnalyticNs(op Op, bytes float64) (float64, error) {
 			return dragonflyAllToAllNs(t, bytes), nil
 		}
 	}
+	ns, err := c.roundsNs(op, []float64{bytes})
+	if err != nil {
+		return 0, err
+	}
+	return ns[0], nil
+}
+
+// roundsNs sums op's per-round merge-formula costs for several payloads in
+// one pass over the round schedule: out[i] is the cost for payloads[i],
+// bit-identical to pricing that payload alone (each path is still summed in
+// hop order, and the max and contention terms are kept per payload).
+// Allocation is O(rounds), never O(messages).
+func (c *Comm) roundsNs(op Op, payloads []float64) ([]float64, error) {
+	out := make([]float64, len(payloads))
+	if len(payloads) == 0 || c.Size() < 2 {
+		return out, nil
+	}
 	loads := make([]int32, c.t.Links())
-	var scratch []int
-	var total float64
-	for _, r := range c.rounds(op, bytes) {
-		cost, used, err := c.analyticRound(r, loads, scratch, op == AllReduceRing)
+	scratch := make([]int, 0, c.Size())
+	ns := make([]float64, len(payloads))
+	for _, r := range c.rounds(op) {
+		used, err := c.analyticRound(r, payloads, ns, loads, scratch, op == AllReduceRing)
 		scratch = used
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		total += cost * float64(r.repeat)
+		for i := range out {
+			out[i] += ns[i] * float64(r.repeat)
+		}
 	}
-	return total, nil
+	return out, nil
 }
 
 // torusAllToAllNs: in shift round (dx,dy,dz) every message travels the same

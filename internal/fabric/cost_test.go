@@ -40,7 +40,7 @@ func testTopologies(t *testing.T, spec LinkSpec) []Topology {
 
 var testSpecs = []LinkSpec{
 	DefaultLinkSpec(),
-	{BandwidthGBps: 7.5, LatencyNs: 120}, // bandwidth-starved, low latency
+	{BandwidthGBps: 7.5, LatencyNs: 120},  // bandwidth-starved, low latency
 	{BandwidthGBps: 400, LatencyNs: 5000}, // latency-dominated
 }
 
@@ -260,6 +260,33 @@ func TestIdealFabricIsFree(t *testing.T) {
 			}
 			if an != 0 || re.Ns != 0 {
 				t.Errorf("%s/%s: ideal fabric not free: analytic=%g replay=%g", tp.Name(), op, an, re.Ns)
+			}
+		}
+	}
+}
+
+// TestAnalyticAllocsScaleWithRounds pins the allocation profile of the
+// analytic pricing on a healthy 1,000-node communicator: a fixed handful
+// per round (its message slice) plus per-call scratch — never one per
+// message (a round here carries up to 1,000).
+func TestAnalyticAllocsScaleWithRounds(t *testing.T) {
+	for _, kind := range Kinds() {
+		tp, err := New(kind, 1000, DefaultLinkSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewComm(tp)
+		for _, op := range []Op{Halo, AllReduceRing, AllReduceTree} {
+			rounds := len(c.rounds(op))
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := c.AnalyticNs(op, 4096); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// Two per round covers the message slice and the broadcast
+			// mirror; 16 covers loads, scratch growth and result slices.
+			if limit := float64(2*rounds + 16); allocs > limit {
+				t.Errorf("%s %s: %v allocs per call over %d rounds, want <= %v", kind, op, allocs, rounds, limit)
 			}
 		}
 	}

@@ -26,7 +26,9 @@ func NewDragonfly(p, groupSize int, spec LinkSpec) (*Dragonfly, error) {
 	return &Dragonfly{P: p, GroupSize: groupSize, spec: spec}, nil
 }
 
-func (t *Dragonfly) Name() string   { return fmt.Sprintf("dragonfly-%dx%d", t.P/t.GroupSize, t.GroupSize) }
+func (t *Dragonfly) Name() string {
+	return fmt.Sprintf("dragonfly-%dx%d", t.P/t.GroupSize, t.GroupSize)
+}
 func (t *Dragonfly) Nodes() int     { return t.P }
 func (t *Dragonfly) groups() int    { return t.P / t.GroupSize }
 func (t *Dragonfly) Links() int     { return 2*t.P + t.groups()*t.groups() }
@@ -34,15 +36,15 @@ func (t *Dragonfly) Spec() LinkSpec { return t.spec }
 
 func (t *Dragonfly) LinkBW(link int) float64 { return t.spec.BandwidthGBps }
 
-func (t *Dragonfly) Route(src, dst int) []int {
+func (t *Dragonfly) AppendRoute(buf []int, src, dst int) []int {
 	if src == dst {
-		return nil
+		return buf
 	}
 	qs, qd := src/t.GroupSize, dst/t.GroupSize
 	if qs == qd {
-		return []int{src, t.P + dst}
+		return append(buf, src, t.P+dst)
 	}
-	return []int{src, 2*t.P + qs*t.groups() + qd, t.P + dst}
+	return append(buf, src, 2*t.P+qs*t.groups()+qd, t.P+dst)
 }
 
 func (t *Dragonfly) Grid() (int, int, int) { return factor3(t.P) }

@@ -45,17 +45,17 @@ func (t *FatTree) LinkBW(link int) float64 {
 	return t.uplinkBW()
 }
 
-// Route: same leaf is node->leaf->node; across leaves the aggregated
+// AppendRoute: same leaf is node->leaf->node; across leaves the aggregated
 // uplink and the destination leaf's downlink are traversed in between.
-func (t *FatTree) Route(src, dst int) []int {
+func (t *FatTree) AppendRoute(buf []int, src, dst int) []int {
 	if src == dst {
-		return nil
+		return buf
 	}
 	qs, qd := src/t.LeafSize, dst/t.LeafSize
 	if qs == qd {
-		return []int{src, t.P + dst}
+		return append(buf, src, t.P+dst)
 	}
-	return []int{src, 2*t.P + qs, 2*t.P + t.leaves() + qd, t.P + dst}
+	return append(buf, src, 2*t.P+qs, 2*t.P+t.leaves()+qd, t.P+dst)
 }
 
 func (t *FatTree) Grid() (int, int, int) { return factor3(t.P) }

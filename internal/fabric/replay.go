@@ -75,20 +75,26 @@ func (c *Comm) Replay(op Op, bytes float64, chaos *faults.Chaos) (ReplayResult, 
 	defer event.ReleaseSim(s)
 	free := make([]float64, c.t.Links())
 	flights := make([]flight, 0, c.Size())
-	for _, r := range c.rounds(op, bytes) {
-		// Resolve routes once per round; repetitions reuse them.
+	var routes []int
+	for _, r := range c.rounds(op) {
+		// Resolve routes once per round into one shared buffer; repetitions
+		// reuse them. A flight's links stay valid for the round even when a
+		// later append regrows the buffer: appends never write to an
+		// outgrown backing array.
 		flights = flights[:0]
+		routes = routes[:0]
 		for _, m := range r.msgs {
-			links, err := c.route(m.src, m.dst)
-			if err != nil {
+			start := len(routes)
+			var err error
+			if routes, err = c.appendRoute(routes, m.src, m.dst); err != nil {
 				return res, err
 			}
-			if len(links) == 0 {
+			if len(routes) == start {
 				continue
 			}
 			flights = append(flights, flight{
-				c: c, s: s, free: free, links: links,
-				bytes: r.bytes, chaos: chaos, res: &res,
+				c: c, s: s, free: free, links: routes[start:len(routes):len(routes)],
+				bytes: r.msgBytes(bytes), chaos: chaos, res: &res,
 			})
 		}
 		for rep := 0; rep < r.repeat; rep++ {

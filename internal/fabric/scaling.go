@@ -3,8 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"ena/internal/workload"
 )
@@ -97,83 +95,102 @@ type Point struct {
 // derived ghost payload, and the cheaper of ring and tree all-reduce for
 // the step's global reduction.
 func Evaluate(c *Comm, k workload.Kernel, nodeTFLOPs float64, mode Mode) (Point, error) {
-	if nodeTFLOPs <= 0 {
-		return Point{}, fmt.Errorf("fabric: node rate %v TFLOP/s must be positive", nodeTFLOPs)
+	pts, err := evaluate(c, []Series{{Kernel: k, NodeTFLOPs: nodeTFLOPs, Mode: mode}})
+	if err != nil {
+		return Point{}, err
 	}
-	p := c.Size()
-	prof := Profile(k, p, mode)
-	// TFLOP/s is 1e3 FLOP/ns.
-	computeNs := prof.LocalBytes * k.Intensity / (nodeTFLOPs * 1e3)
-	var haloNs, reduceNs float64
-	if p > 1 {
-		var err error
-		if prof.HaloBytes > 0 {
-			if haloNs, err = c.AnalyticNs(Halo, prof.HaloBytes); err != nil {
-				return Point{}, err
-			}
-		}
-		ringNs, err := c.AnalyticNs(AllReduceRing, prof.ReduceBytes)
-		if err != nil {
-			return Point{}, err
-		}
-		treeNs, err := c.AnalyticNs(AllReduceTree, prof.ReduceBytes)
-		if err != nil {
-			return Point{}, err
-		}
-		reduceNs = math.Min(ringNs, treeNs)
-	}
-	eff := 1.0
-	if total := computeNs + haloNs + reduceNs; total > 0 {
-		eff = computeNs / total
-	}
-	return Point{
-		Nodes:           p,
-		ComputeNs:       computeNs,
-		HaloNs:          haloNs,
-		ReduceNs:        reduceNs,
-		Efficiency:      eff,
-		DeliveredTFLOPs: nodeTFLOPs * float64(p) * eff,
-	}, nil
+	return pts[0], nil
 }
 
-// Curve evaluates the scaling curve of kernel k over the given node counts
-// on fresh topologies of the given kind, fanning the points out over a
-// worker pool. Results are positionally ordered by sizes and bit-identical
-// for any worker count (each point is a pure function of its inputs).
-func Curve(kind string, spec LinkSpec, k workload.Kernel, nodeTFLOPs float64, sizes []int, mode Mode, workers int) ([]Point, error) {
-	if workers < 1 {
-		workers = 1
+// evaluate is Evaluate for several series sharing one communicator, each
+// point bit-identical to its own Evaluate call. The halo exchanges of all
+// series are priced in one pass over the round schedule (see roundsNs), and
+// the all-reduce once: its payload is the fixed reduceBytes whatever the
+// kernel or mode.
+func evaluate(c *Comm, series []Series) ([]Point, error) {
+	p := c.Size()
+	profs := make([]CommProfile, len(series))
+	var haloBytes []float64
+	for i, s := range series {
+		if s.NodeTFLOPs <= 0 {
+			return nil, fmt.Errorf("fabric: node rate %v TFLOP/s must be positive", s.NodeTFLOPs)
+		}
+		profs[i] = Profile(s.Kernel, p, s.Mode)
+		// Kernels without ghost bytes exchange nothing.
+		if profs[i].HaloBytes > 0 {
+			haloBytes = append(haloBytes, profs[i].HaloBytes)
+		}
 	}
-	if workers > len(sizes) {
-		workers = len(sizes)
+	// A single node communicates nothing: every price below is zero.
+	halo, err := c.roundsNs(Halo, haloBytes)
+	if err != nil {
+		return nil, err
 	}
-	points := make([]Point, len(sizes))
-	errs := make([]error, len(sizes))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sizes) {
-					return
-				}
-				t, err := New(kind, sizes[i], spec)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				points[i], errs[i] = Evaluate(NewComm(t), k, nodeTFLOPs, mode)
-			}
-		}()
+	ringNs, err := c.AnalyticNs(AllReduceRing, reduceBytes)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
+	treeNs, err := c.AnalyticNs(AllReduceTree, reduceBytes)
+	if err != nil {
+		return nil, err
+	}
+	reduceNs := math.Min(ringNs, treeNs)
+	out := make([]Point, len(series))
+	for i, s := range series {
+		var haloNs float64
+		if profs[i].HaloBytes > 0 {
+			haloNs, halo = halo[0], halo[1:]
+		}
+		// TFLOP/s is 1e3 FLOP/ns.
+		computeNs := profs[i].LocalBytes * s.Kernel.Intensity / (s.NodeTFLOPs * 1e3)
+		eff := 1.0
+		if total := computeNs + haloNs + reduceNs; total > 0 {
+			eff = computeNs / total
+		}
+		out[i] = Point{
+			Nodes:           p,
+			ComputeNs:       computeNs,
+			HaloNs:          haloNs,
+			ReduceNs:        reduceNs,
+			Efficiency:      eff,
+			DeliveredTFLOPs: s.NodeTFLOPs * float64(p) * eff,
+		}
+	}
+	return out, nil
+}
+
+// Series is one scaling curve of a Curves sweep: a kernel at its sustained
+// node rate under one scaling mode.
+type Series struct {
+	Kernel     workload.Kernel
+	NodeTFLOPs float64
+	Mode       Mode
+}
+
+// Curves evaluates every series over the given node counts on healthy
+// topologies of the given kind; out[i][j] is series i at sizes[j], and each
+// point is bit-identical to Evaluate on a fresh communicator. Each size
+// builds its topology and communicator once and evaluates every series on
+// it together (see evaluate). Sizes run one at a time: a 100,000-node
+// communicator and its collective scratch are tens of MiB, and overlapping
+// two of them raises peak memory by more than half.
+func Curves(kind string, spec LinkSpec, series []Series, sizes []int) ([][]Point, error) {
+	out := make([][]Point, len(series))
+	for i := range out {
+		out[i] = make([]Point, len(sizes))
+	}
+	for j, p := range sizes {
+		t, err := New(kind, p, spec)
 		if err != nil {
 			return nil, err
 		}
+		pts, err := evaluate(NewComm(t), series)
+		if err != nil {
+			return nil, err
+		}
+		for i, pt := range pts {
+			out[i][j] = pt
+		}
 	}
-	return points, nil
+	return out, nil
 }

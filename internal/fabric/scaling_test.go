@@ -81,30 +81,43 @@ func TestFiniteFabricDivergesFromProjection(t *testing.T) {
 	}
 }
 
-// TestCurveDeterministicAcrossWorkers: the satellite determinism property —
-// the scaling curve is bit-identical for any worker-pool size.
-func TestCurveDeterministicAcrossWorkers(t *testing.T) {
-	k := workload.HPGMG()
-	rate := nodeRate(t, k)
+// TestCurvesMatchPerPointEvaluate: the shared-communicator sweep is
+// bit-identical to evaluating every (series, size) point on its own fresh
+// topology.
+func TestCurvesMatchPerPointEvaluate(t *testing.T) {
 	sizes := []int{1, 2, 8, 27, 64, 360}
-	var ref []Point
-	for _, workers := range []int{1, 2, 7, 32} {
-		pts, err := Curve("torus", DefaultLinkSpec(), k, rate, sizes, Strong, workers)
+	var series []Series
+	for _, mode := range []Mode{Strong, Weak} {
+		for _, k := range []workload.Kernel{workload.MaxFlops(), workload.CoMD(), workload.HPGMG()} {
+			series = append(series, Series{Kernel: k, NodeTFLOPs: nodeRate(t, k), Mode: mode})
+		}
+	}
+	for _, kind := range Kinds() {
+		curves, err := Curves(kind, DefaultLinkSpec(), series, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = pts
-			continue
-		}
-		for i := range pts {
-			if pts[i] != ref[i] {
-				t.Fatalf("workers=%d point %d differs: %+v vs %+v", workers, i, pts[i], ref[i])
+		for i, s := range series {
+			for j, p := range sizes {
+				tp, err := New(kind, p, DefaultLinkSpec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Evaluate(NewComm(tp), s.Kernel, s.NodeTFLOPs, s.Mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if curves[i][j] != want {
+					t.Fatalf("%s %s/%s p=%d: Curves %+v, Evaluate %+v", kind, s.Kernel.Name, s.Mode, p, curves[i][j], want)
+				}
 			}
 		}
+		if curves[0][0].Efficiency != 1 {
+			t.Errorf("%s: single node must be perfectly efficient, got %v", kind, curves[0][0].Efficiency)
+		}
 	}
-	if ref[0].Efficiency != 1 {
-		t.Errorf("single node must be perfectly efficient, got %v", ref[0].Efficiency)
+	if _, err := Curves("torus", DefaultLinkSpec(), []Series{{Kernel: workload.CoMD()}}, sizes); err == nil {
+		t.Error("a zero node rate must be rejected")
 	}
 }
 
@@ -116,14 +129,11 @@ func TestStrongScalingDegradesFasterThanWeak(t *testing.T) {
 	k := workload.CoMD()
 	rate := nodeRate(t, k)
 	sizes := []int{8, 64, 512}
-	strong, err := Curve("torus", DefaultLinkSpec(), k, rate, sizes, Strong, 4)
+	curves, err := Curves("torus", DefaultLinkSpec(), []Series{{k, rate, Strong}, {k, rate, Weak}}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak, err := Curve("torus", DefaultLinkSpec(), k, rate, sizes, Weak, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	strong, weak := curves[0], curves[1]
 	for i := 1; i < len(strong); i++ {
 		if strong[i].Efficiency >= strong[i-1].Efficiency {
 			t.Errorf("strong efficiency not decreasing: %v then %v", strong[i-1].Efficiency, strong[i].Efficiency)

@@ -78,11 +78,13 @@ type Topology interface {
 	Links() int
 	// LinkBW returns a link's bandwidth in GB/s (per direction).
 	LinkBW(link int) float64
-	// Route returns the directed links traversed from src to dst, in hop
-	// order. Routes are deterministic and shortest under the topology's
-	// routing discipline (dimension order on the torus, up/over/down on
-	// the indirect topologies).
-	Route(src, dst int) []int
+	// AppendRoute appends the directed links traversed from src to dst, in
+	// hop order, to buf and returns the extended slice (buf itself when
+	// src == dst). Routes are deterministic and shortest under the
+	// topology's routing discipline (dimension order on the torus,
+	// up/over/down on the indirect topologies). Appending into a reused
+	// buffer keeps pricing a collective free of per-message allocations.
+	AppendRoute(buf []int, src, dst int) []int
 	// Grid returns the logical 3D decomposition x*y*z == Nodes.
 	Grid() (x, y, z int)
 	// Ring returns the nodes in ring order: grid-adjacent snake order on
@@ -97,7 +99,7 @@ type Topology interface {
 // topologies route node->switch->node and keep their routes under node
 // failures.
 type avoider interface {
-	routeAvoid(src, dst int, dead []bool) ([]int, error)
+	routeAvoid(buf []int, src, dst int, dead []bool) ([]int, error)
 }
 
 // ErrPartitioned reports that node failures disconnect the surviving nodes.

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func TestTorusRouteShortestAndValid(t *testing.T) {
 	}
 	for src := 0; src < tor.Nodes(); src++ {
 		for dst := 0; dst < tor.Nodes(); dst++ {
-			links := tor.Route(src, dst)
+			links := tor.AppendRoute(nil, src, dst)
 			if len(links) != torusDist(tor, src, dst) {
 				t.Fatalf("route %d->%d has %d hops, want %d", src, dst, len(links), torusDist(tor, src, dst))
 			}
@@ -39,6 +40,70 @@ func TestTorusRouteShortestAndValid(t *testing.T) {
 			}
 			if cur != dst {
 				t.Fatalf("route %d->%d ends at %d", src, dst, cur)
+			}
+		}
+	}
+}
+
+// refRoute restates each topology's routing discipline hop by hop, as an
+// allocating oracle for AppendRoute: the torus corrects x, then y, then z,
+// each the shortest way around its ring with ties toward positive; the
+// indirect topologies go node -> switch [-> spine or global ->] -> node.
+func refRoute(tp Topology, src, dst int) []int {
+	if src == dst {
+		return nil
+	}
+	switch t := tp.(type) {
+	case *Torus:
+		var links []int
+		cur := src
+		for dim, size := range [3]int{t.X, t.Y, t.Z} {
+			coord := func(n int) int {
+				x, y, z := gridCoords(n, t.X, t.Y)
+				return [3]int{x, y, z}[dim]
+			}
+			for coord(cur) != coord(dst) {
+				dir := 2*dim + 1 // the dimension's negative direction
+				if d := (coord(dst) - coord(cur) + size) % size; 2*d <= size {
+					dir = 2 * dim
+				}
+				links = append(links, cur*torusDirs+dir)
+				cur, _ = t.step(cur, dir)
+			}
+		}
+		return links
+	case *FatTree:
+		qs, qd := src/t.LeafSize, dst/t.LeafSize
+		if qs == qd {
+			return []int{src, t.P + dst}
+		}
+		return []int{src, 2*t.P + qs, 2*t.P + t.leaves() + qd, t.P + dst}
+	case *Dragonfly:
+		qs, qd := src/t.GroupSize, dst/t.GroupSize
+		if qs == qd {
+			return []int{src, t.P + dst}
+		}
+		return []int{src, 2*t.P + qs*t.groups() + qd, t.P + dst}
+	}
+	panic("refRoute: unknown topology")
+}
+
+// TestAppendRouteExtendsBuffer: appending a route onto a non-empty buffer
+// returns that buffer's contents plus exactly the route's links, for every
+// src/dst pair of every test topology, whether or not the append has to
+// regrow the buffer.
+func TestAppendRouteExtendsBuffer(t *testing.T) {
+	prefix := []int{-3, -2, -1}
+	for _, tp := range testTopologies(t, DefaultLinkSpec()) {
+		for src := 0; src < tp.Nodes(); src++ {
+			for dst := 0; dst < tp.Nodes(); dst++ {
+				want := append(slices.Clone(prefix), refRoute(tp, src, dst)...)
+				for _, spare := range []int{0, 16} {
+					buf := append(make([]int, 0, len(prefix)+spare), prefix...)
+					if got := tp.AppendRoute(buf, src, dst); !slices.Equal(got, want) {
+						t.Fatalf("%s: AppendRoute(%v, %d, %d) = %v, want %v", tp.Name(), prefix, src, dst, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -73,7 +138,7 @@ func TestIndirectRoutesUseValidLinks(t *testing.T) {
 	for _, tp := range testTopologies(t, DefaultLinkSpec()) {
 		for _, src := range []int{0, tp.Nodes() / 2, tp.Nodes() - 1} {
 			for _, dst := range []int{0, 1 % tp.Nodes(), tp.Nodes() - 1} {
-				for _, l := range tp.Route(src, dst) {
+				for _, l := range tp.AppendRoute(nil, src, dst) {
 					if l < 0 || l >= tp.Links() {
 						t.Fatalf("%s: route %d->%d uses link %d outside [0,%d)", tp.Name(), src, dst, l, tp.Links())
 					}
@@ -95,7 +160,7 @@ func TestRouteAvoidDetoursAroundDeadNodes(t *testing.T) {
 	// Kill the direct dimension-ordered path from (0,0) to (2,0).
 	dead[gridIndex(1, 0, 0, 4, 4)] = true
 	src, dst := gridIndex(0, 0, 0, 4, 4), gridIndex(2, 0, 0, 4, 4)
-	links, err := tor.routeAvoid(src, dst, dead)
+	links, err := tor.routeAvoid(nil, src, dst, dead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +177,20 @@ func TestRouteAvoidDetoursAroundDeadNodes(t *testing.T) {
 	if len(links) < 2 {
 		t.Fatalf("detour %v is implausibly short", links)
 	}
+	// Detours and clean routes alike append onto the caller's buffer.
+	for _, d := range []int{dst, gridIndex(0, 2, 0, 4, 4)} {
+		fresh, err := tor.routeAvoid(nil, src, d, dead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tor.routeAvoid([]int{-1}, src, d, dead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]int{-1}, fresh...); !slices.Equal(got, want) {
+			t.Fatalf("routeAvoid onto [-1] to %d = %v, want %v", d, got, want)
+		}
+	}
 }
 
 func TestRouteAvoidPartition(t *testing.T) {
@@ -124,7 +203,7 @@ func TestRouteAvoidPartition(t *testing.T) {
 	for _, n := range []int{gridIndex(0, 1, 0, 3, 3), gridIndex(2, 1, 0, 3, 3), gridIndex(1, 0, 0, 3, 3), gridIndex(1, 2, 0, 3, 3)} {
 		dead[n] = true
 	}
-	if _, err := tor.routeAvoid(gridIndex(1, 1, 0, 3, 3), 0, dead); !errors.Is(err, ErrPartitioned) {
+	if _, err := tor.routeAvoid(nil, gridIndex(1, 1, 0, 3, 3), 0, dead); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("got %v, want ErrPartitioned", err)
 	}
 	// The communicator surfaces the same error from the collectives.

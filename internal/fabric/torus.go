@@ -1,6 +1,9 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Torus is a 3D torus with directed wrap links in all six directions and
 // deterministic dimension-ordered (x, then y, then z) shortest-path
@@ -29,9 +32,9 @@ func NewTorus(x, y, z int, spec LinkSpec) (*Torus, error) {
 	return &Torus{X: x, Y: y, Z: z, spec: spec}, nil
 }
 
-func (t *Torus) Name() string  { return fmt.Sprintf("torus-%dx%dx%d", t.X, t.Y, t.Z) }
-func (t *Torus) Nodes() int    { return t.X * t.Y * t.Z }
-func (t *Torus) Links() int    { return t.Nodes() * torusDirs }
+func (t *Torus) Name() string   { return fmt.Sprintf("torus-%dx%dx%d", t.X, t.Y, t.Z) }
+func (t *Torus) Nodes() int     { return t.X * t.Y * t.Z }
+func (t *Torus) Links() int     { return t.Nodes() * torusDirs }
 func (t *Torus) Spec() LinkSpec { return t.spec }
 
 func (t *Torus) LinkBW(link int) float64 { return t.spec.BandwidthGBps }
@@ -71,29 +74,25 @@ func dimSteps(from, to, size, pos, neg int) (hops, dir int) {
 	return size - d, neg
 }
 
-// Route is dimension-ordered: correct x, then y, then z.
-func (t *Torus) Route(src, dst int) []int {
+// AppendRoute is dimension-ordered: correct x, then y, then z.
+func (t *Torus) AppendRoute(buf []int, src, dst int) []int {
 	if src == dst {
-		return nil
+		return buf
 	}
 	sx, sy, sz := gridCoords(src, t.X, t.Y)
 	dx, dy, dz := gridCoords(dst, t.X, t.Y)
 	hx, dirx := dimSteps(sx, dx, t.X, dirXPos, dirXNeg)
 	hy, diry := dimSteps(sy, dy, t.Y, dirYPos, dirYNeg)
 	hz, dirz := dimSteps(sz, dz, t.Z, dirZPos, dirZNeg)
-	links := make([]int, 0, hx+hy+hz)
 	cur := src
-	walk := func(hops, dir int) {
-		for i := 0; i < hops; i++ {
-			next, l := t.step(cur, dir)
-			links = append(links, l)
+	for _, leg := range [3][2]int{{hx, dirx}, {hy, diry}, {hz, dirz}} {
+		for i := 0; i < leg[0]; i++ {
+			next, l := t.step(cur, leg[1])
+			buf = append(buf, l)
 			cur = next
 		}
 	}
-	walk(hx, dirx)
-	walk(hy, diry)
-	walk(hz, dirz)
-	return links
+	return buf
 }
 
 // Ring returns the snake order: x sweeps alternate direction row by row, y
@@ -125,15 +124,17 @@ func (t *Torus) Ring() []int {
 // routeAvoid routes around dead nodes with a deterministic BFS over the
 // grid (fixed direction order, first-discovery predecessors), returning
 // ErrPartitioned when no surviving path exists. Intermediate hops avoid
-// dead nodes; src and dst themselves must be alive.
-func (t *Torus) routeAvoid(src, dst int, dead []bool) ([]int, error) {
+// dead nodes; src and dst themselves must be alive. Like AppendRoute, the
+// links are appended to buf.
+func (t *Torus) routeAvoid(buf []int, src, dst int, dead []bool) ([]int, error) {
 	if src == dst {
-		return nil, nil
+		return buf, nil
 	}
 	// Fast path: if the dimension-ordered route is clean, keep it.
-	direct := t.Route(src, dst)
+	start := len(buf)
+	buf = t.AppendRoute(buf, src, dst)
 	clean := true
-	for _, l := range direct {
+	for _, l := range buf[start:] {
 		next, _ := t.step(l/torusDirs, l%torusDirs)
 		if next != dst && dead[next] {
 			clean = false
@@ -141,8 +142,9 @@ func (t *Torus) routeAvoid(src, dst int, dead []bool) ([]int, error) {
 		}
 	}
 	if clean {
-		return direct, nil
+		return buf, nil
 	}
+	buf = buf[:start]
 	p := t.Nodes()
 	prev := make([]int32, p) // packed: node*8+dir+1; 0 = unvisited
 	prev[src] = -1
@@ -158,23 +160,20 @@ func (t *Torus) routeAvoid(src, dst int, dead []bool) ([]int, error) {
 			}
 			prev[next] = int32(n*8 + dir + 1)
 			if next == dst {
-				// Unwind the predecessor chain into link IDs.
-				var rev []int
+				// Unwind the predecessor chain into link IDs (dst back to
+				// src), then reverse the appended run into hop order.
 				for at := dst; at != src; {
 					pk := prev[at]
 					from := int(pk-1) / 8
 					d := int(pk-1) % 8
-					rev = append(rev, from*torusDirs+d)
+					buf = append(buf, from*torusDirs+d)
 					at = from
 				}
-				links := make([]int, len(rev))
-				for i := range rev {
-					links[i] = rev[len(rev)-1-i]
-				}
-				return links, nil
+				slices.Reverse(buf[start:])
+				return buf, nil
 			}
 			queue = append(queue, next)
 		}
 	}
-	return nil, ErrPartitioned
+	return buf, ErrPartitioned
 }

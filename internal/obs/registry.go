@@ -66,6 +66,20 @@ func (g *Gauge) SetMax(v float64) {
 	}
 }
 
+// Add moves the gauge by delta (negative to lower it). Safe under
+// concurrent Add calls: unlike Set(Value()+delta), no update is lost.
+func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
+}
+
 // Value returns the gauge's current value (zero on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

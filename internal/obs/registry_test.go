@@ -75,6 +75,28 @@ func TestGaugeConcurrentSetMax(t *testing.T) {
 	}
 }
 
+// TestGaugeConcurrentAdd: balanced +1/-1 pairs from many goroutines must
+// leave the gauge at exactly zero (a Set(Value()+d) read-modify-write
+// would drop updates here).
+func TestGaugeConcurrentAdd(t *testing.T) {
+	g := NewRegistry().Gauge("inflight")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				g.Add(1)
+				g.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := g.Value(); got != 0 {
+		t.Fatalf("gauge after balanced adds = %v, want 0", got)
+	}
+}
+
 func TestHistogramBinningAndSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat", []float64{10, 100})

@@ -128,13 +128,17 @@ func (m *durableManager) transition(id string, state JobState, errMsg string, in
 	st := string(state)
 	if interrupted {
 		st = store.StateInterrupted
-		m.interruptedCtr.Inc()
 	}
 	rec := store.Record{ID: id, Type: "state", State: st, Err: errMsg, Owner: m.owner}
 	if !store.TerminalState(st) {
 		rec.LeaseMs = m.leaseMs(time.Now())
 	}
 	m.append(rec)
+	// Count the interruption only once its record is durable, so a reader of
+	// jobs.interrupted always finds the journal entry behind it.
+	if interrupted {
+		m.interruptedCtr.Inc()
+	}
 }
 
 // pruned implements jobRecorder: a job evicted from the scheduler table no

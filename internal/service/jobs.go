@@ -513,37 +513,43 @@ func (s *Scheduler) execute(j *job) {
 	cancel()
 	s.runningGauge.Set(float64(s.running.Add(-1)))
 
+	state, errMsg := JobDone, ""
+	if err != nil {
+		state, errMsg = JobFailed, err.Error()
+		if errors.Is(err, context.Canceled) {
+			state = JobCancelled
+		}
+	}
+	j.mu.Lock()
+	// A cancellation nobody asked for — drain deadline or base-context
+	// shutdown — leaves the job recoverable by a restarted replica.
+	interrupted := state == JobCancelled && !j.userCancelled && (s.interrupting.Load() || s.baseCtx.Err() != nil)
+	j.mu.Unlock()
+	// Persist before publish: the terminal state reaches the journal before
+	// the job's view, its done channel or the job counters show it, so a
+	// caller that saw the job finish always finds the journal entry too.
+	s.record(j.id, state, errMsg, interrupted)
+
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.retries = retries
 	j.quarantined = quarantined
 	s.durHist.Observe(float64(j.finished.Sub(j.started)))
 	foldEwma(&s.ewmaNs, j.finished.Sub(j.started))
-	var interrupted bool
-	switch {
-	case err == nil:
-		j.state = JobDone
+	j.state = state
+	switch state {
+	case JobDone:
 		j.result = res
 		s.completed.Inc()
-	case errors.Is(err, context.Canceled):
-		j.state = JobCancelled
+	case JobCancelled:
 		j.err = err
 		s.cancelledCtr.Inc()
-		// A cancellation nobody asked for — drain deadline or base-context
-		// shutdown — leaves the job recoverable by a restarted replica.
-		interrupted = !j.userCancelled && (s.interrupting.Load() || s.baseCtx.Err() != nil)
 	default:
-		j.state = JobFailed
 		j.err = err
 		s.failed.Inc()
 	}
-	state, errMsg := j.state, ""
-	if j.err != nil {
-		errMsg = j.err.Error()
-	}
 	close(j.done)
 	j.mu.Unlock()
-	s.record(j.id, state, errMsg, interrupted)
 }
 
 // runResilient executes a job function with the scheduler's fault handling:

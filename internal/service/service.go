@@ -395,7 +395,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		s.inflight.Set(s.inflight.Value() + 1)
+		s.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if d := s.chaos.Latency(); d > 0 {
 			time.Sleep(d)
@@ -411,7 +411,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		} else {
 			admitted(sw, r)
 		}
-		s.inflight.Set(s.inflight.Value() - 1)
+		s.inflight.Add(-1)
 		s.reqCtr.Inc()
 		routeCtr.Inc()
 		if sw.status >= 400 {

@@ -213,7 +213,20 @@ func TestServiceShardedScaleBitIdentical(t *testing.T) {
 // disappears mid-drain: the shards fail over to local evaluation and the job
 // still completes before Drain returns.
 func TestDrainWithInflightJobAndPeerLoss(t *testing.T) {
-	peer := httptest.NewServer(cluster.WorkerHandler(obs.NewRegistry()))
+	// The peer holds its first shard until the test kills it, so the sweep
+	// is still in flight when the peer dies (a small sweep could otherwise
+	// finish on the healthy peer before the kill).
+	worker := cluster.WorkerHandler(obs.NewRegistry())
+	started, kill := make(chan struct{}), make(chan struct{})
+	var startOnce sync.Once
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/internal/shard/") {
+			startOnce.Do(func() { close(started) })
+			<-kill
+			panic(http.ErrAbortHandler) // drop the connection mid-shard
+		}
+		worker.ServeHTTP(w, r)
+	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := New(ctx, Config{Workers: 2, Peers: []string{peer.URL}})
@@ -236,6 +249,12 @@ func TestDrainWithInflightJobAndPeerLoss(t *testing.T) {
 
 	// Kill the only peer, then drain: the in-flight sweep must finish via
 	// shard failover onto the coordinator itself.
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the sweep never sent a shard to the peer")
+	}
+	close(kill)
 	peer.Close()
 	drainCtx, dc := context.WithTimeout(context.Background(), 60*time.Second)
 	defer dc()
