@@ -22,6 +22,7 @@ import (
 	"ena/internal/core"
 	"ena/internal/cpu"
 	"ena/internal/dram"
+	"ena/internal/dse"
 	"ena/internal/event"
 	"ena/internal/exp"
 	"ena/internal/fabric"
@@ -32,6 +33,7 @@ import (
 	"ena/internal/ras"
 	"ena/internal/service"
 	"ena/internal/store"
+	"ena/internal/surrogate"
 	"ena/internal/thermal"
 	"ena/internal/trace"
 	"ena/internal/workload"
@@ -177,6 +179,29 @@ func BenchmarkSurrogateExplore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ExploreSurrogate(ctx, space, ks, NodePowerBudgetW, 0, opts, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSurrogateJob measures one surrogate job as the service runs it:
+// zero Options except the 264-point evaluation budget (24 trees, 16-point
+// batches, 2048-candidate pool) on the expanded packaging space, evaluating
+// through a LocalEvaluator over a warm PerfCache. Evaluation is then cheap,
+// so ns/op and allocs/op are dominated by the forest fits and acquisition.
+func BenchmarkSurrogateJob(b *testing.B) {
+	space := expandedBenchSpace()
+	ks := Workloads()
+	so := surrogate.Options{Budget: 264, Seed: 1}
+	ev := surrogate.LocalEvaluator(ks, NodePowerBudgetW, 0, dse.NewPerfCache())
+	ctx := context.Background()
+	if _, err := surrogate.Explore(ctx, space, ks, NodePowerBudgetW, 0, so, dse.Instr{}, ev); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := surrogate.Explore(ctx, space, ks, NodePowerBudgetW, 0, so, dse.Instr{}, ev); err != nil {
 			b.Fatal(err)
 		}
 	}

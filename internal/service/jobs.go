@@ -410,8 +410,6 @@ func (s *Scheduler) Cancel(id string) (JobView, bool) {
 		j.userCancelled = true
 		j.err = context.Canceled
 		j.finished = time.Now()
-		close(j.done)
-		s.cancelledCtr.Inc()
 		cancelled = true
 	case JobRunning:
 		j.userCancelled = true
@@ -420,7 +418,12 @@ func (s *Scheduler) Cancel(id string) (JobView, bool) {
 	v := j.viewLocked()
 	j.mu.Unlock()
 	if cancelled {
+		// Persist before publish: execute already skips the job marked
+		// cancelled above, and the journal gets the cancellation before
+		// the done channel or the cancelled counter shows it.
 		s.record(j.id, JobCancelled, context.Canceled.Error(), false)
+		close(j.done)
+		s.cancelledCtr.Inc()
 	}
 	return v, true
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +138,93 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	s.Drain(context.Background()) // workers idle; queued victim must be skipped
 	if ran {
 		t.Error("cancelled queued job still executed")
+	}
+}
+
+// doneProbe is a jobRecorder that, on each transition, notes whether the
+// job's done channel had already closed and how many cancellations the
+// scheduler had counted: persist-before-publish says neither may show a
+// terminal state before the journal has it.
+type doneProbe struct {
+	s       *Scheduler
+	reg     *obs.Registry
+	mu      sync.Mutex
+	entries []probeEntry
+}
+
+type probeEntry struct {
+	id        string
+	state     JobState
+	doneOpen  bool
+	cancelled int64
+}
+
+func (p *doneProbe) transition(id string, state JobState, _ string, _ bool) {
+	p.s.mu.Lock()
+	j := p.s.jobs[id]
+	p.s.mu.Unlock()
+	open := true
+	select {
+	case <-j.done:
+		open = false
+	default:
+	}
+	p.mu.Lock()
+	p.entries = append(p.entries, probeEntry{id, state, open, p.reg.Counter("service.jobs.cancelled").Value()})
+	p.mu.Unlock()
+}
+
+func (p *doneProbe) pruned(string) {}
+
+// TestSchedulerCancelQueuedJournalsBeforeDone: cancelling a queued job
+// journals the cancellation while its done channel is still open and before
+// service.jobs.cancelled counts it.
+func TestSchedulerCancelQueuedJournalsBeforeDone(t *testing.T) {
+	reg := obs.NewRegistry()
+	probe := &doneProbe{reg: reg}
+	s := NewScheduler(context.Background(), 1, 8, 16, reg, WithRecorder(probe))
+	probe.s = s
+	defer s.Drain(context.Background())
+
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	blocker, err := s.Submit("blocker", 0, func(ctx context.Context) (any, error) {
+		close(started)
+		<-gate
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	<-started
+	queued, err := s.Submit("victim", 0, func(ctx context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatalf("Submit victim: %v", err)
+	}
+	if v, ok := s.Cancel(queued.ID); !ok || v.State != JobCancelled {
+		t.Fatalf("Cancel queued = (%+v, %v), want cancelled", v, ok)
+	}
+	close(gate)
+	waitTerminal(t, s, blocker.ID)
+	waitTerminal(t, s, queued.ID)
+
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	var got []probeEntry
+	for _, e := range probe.entries {
+		if e.id == queued.ID {
+			got = append(got, e)
+		}
+	}
+	if len(got) != 1 || got[0].state != JobCancelled {
+		t.Fatalf("victim transitions = %+v, want exactly one cancelled entry", got)
+	}
+	if !got[0].doneOpen || got[0].cancelled != 0 {
+		t.Fatalf("cancellation journalled after publish: done open=%v, cancelled counter=%d",
+			got[0].doneOpen, got[0].cancelled)
+	}
+	if c := reg.Counter("service.jobs.cancelled").Value(); c != 1 {
+		t.Fatalf("service.jobs.cancelled = %d after the journal entry, want 1", c)
 	}
 }
 

@@ -226,7 +226,8 @@ func Explore(ctx context.Context, space dse.Space, kernels []workload.Kernel, bu
 	}
 	rounds := 1
 
-	scratch := make([]float64, so.Trees)
+	// preds holds one row of per-tree predictions per scored candidate.
+	preds := make([]float64, min(so.CandidatePool, n)*so.Trees)
 	for len(traj) < so.Budget && len(traj) < n {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -263,9 +264,10 @@ func Explore(ctx context.Context, space dse.Space, kernels []workload.Kernel, bu
 			idx int
 			ei  float64
 		}
+		f.predictInto(preds, feats, cands)
 		scores := make([]scored, len(cands))
 		for j, i := range cands {
-			mu, sigma := f.predict(feats[i], scratch)
+			mu, sigma := meanStd(preds[j*so.Trees : (j+1)*so.Trees])
 			scores[j] = scored{idx: i, ei: expectedImprovement(mu, sigma, best)}
 		}
 		sort.Slice(scores, func(a, b int) bool {
