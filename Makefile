@@ -74,8 +74,9 @@ chaos-short:
 	go test -run='Chaos' ./internal/fabric/
 
 # Short fuzz pass over the compression codec (round-trip + ratio bounds),
-# the fault-mask parser, and the DL spec / batch-list / space-spec parsers
-# (never panic; accepted inputs are canonical fixed points).
+# the fault-mask parser, the DL spec / batch-list / space-spec parsers
+# (never panic; accepted inputs are canonical fixed points), the job journal
+# fold, and the shard-wire decoder (a 400 or a stream ending in done/error).
 fuzz-short:
 	go test -run='^$$' -fuzz=FuzzLineRoundTrip -fuzztime=10s ./internal/compress
 	go test -run='^$$' -fuzz=FuzzDecodeNeverPanics -fuzztime=5s ./internal/compress
@@ -84,6 +85,7 @@ fuzz-short:
 	go test -run='^$$' -fuzz=FuzzParseBatchList -fuzztime=5s ./internal/workload
 	go test -run='^$$' -fuzz=FuzzJournalFold -fuzztime=5s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParseSpace -fuzztime=5s ./internal/dse
+	go test -run='^$$' -fuzz=FuzzShardRequest -fuzztime=5s ./internal/cluster
 
 # Process-kill chaos: a 3-replica shared-store cluster runs a default-space
 # explore while a seeded loop SIGKILLs a random replica mid-sweep; survivors

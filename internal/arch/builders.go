@@ -9,6 +9,13 @@ const (
 	DefaultExtModuleGB = 32
 	// DefaultModulesPerChain x ExtInterfaces x DefaultExtModuleGB = 1 TB.
 	DefaultModulesPerChain = 4
+	// MaxModulesPerChain bounds the external-chain depth a design point may
+	// ask for: four times the default chain, 4 TB of external DRAM per node.
+	// Every module is one more SerDes hop of latency and background power on
+	// its chain, so deeper chains only lose; and ExternalNetwork allocates
+	// ExtInterfaces x depth modules, so an unbounded depth lets one request
+	// ask a replica for more memory than it has.
+	MaxModulesPerChain = 16
 	// DefaultExtLinkGBps is the per-interface SerDes bandwidth. Eight
 	// interfaces give 0.8 TB/s aggregate — an order of magnitude below
 	// in-package bandwidth, which is what makes in-package misses costly

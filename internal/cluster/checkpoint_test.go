@@ -90,8 +90,11 @@ func TestExploreCheckpointsAndResumes(t *testing.T) {
 	reg1 := obs.NewRegistry()
 	c1 := NewCoordinator(nil, reg1) // no peers: checkpointing alone activates it
 	c1.EnableCheckpoints(cs, 4)
-	if !c1.Active() || c1.Enabled() {
-		t.Fatalf("Active=%v Enabled=%v, want true/false", c1.Active(), c1.Enabled())
+	if !c1.Active() {
+		t.Fatal("a peer-less coordinator with a checkpoint store is not Active")
+	}
+	if NewCoordinator(nil, obs.NewRegistry()).Active() {
+		t.Fatal("a coordinator with neither peers nor a checkpoint store is Active")
 	}
 	got, err := c1.Explore(context.Background(), space, kernels, names, budget, 0, "jobkey")
 	if err != nil {

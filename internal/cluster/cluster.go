@@ -1,5 +1,5 @@
 // Package cluster shards sweep-shaped service jobs across enaserve worker
-// processes. A coordinator deterministically partitions a job's index space
+// processes. A coordinator deterministically partitions a job's item list
 // — design points for /v1/explore, node counts for /v1/scale — into
 // contiguous shards, fans them out to worker peers over HTTP, streams
 // per-item results back as they complete, retries failed shards on the
@@ -8,24 +8,23 @@
 //
 // Bit-identity holds by construction: every item is a pure function of the
 // request (dse.EvaluatePointContext for explore points, EvalScale for scale
-// sizes), shards cover the index space exactly once, results are merged
+// sizes), shards cover the item list exactly once, results are merged
 // positionally, and the sequential scoring/selection tail (dse.Finalize)
 // runs on the merged slice exactly as a local sweep would have run it.
 //
-// Wire protocol: POST /v1/internal/shard/{explore,scale} with a shard
-// request; the response is an NDJSON stream of one line per completed item
-// (carrying its index, so completion order is free to vary) terminated by a
-// "done" line with the item count. A stream that ends without "done" is a
-// failed shard.
+// Wire protocol: POST /v1/internal/shard/{explore,scale} with a
+// shardRequest — the sweep's fixed parameters plus exactly the shard's
+// items; the path selects the sweep kind. The response is an NDJSON stream
+// of one line per completed item (carrying its index, so completion order
+// is free to vary) terminated by a "done" line with the item count. A
+// stream that ends without "done" is a failed shard.
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 
-	"ena/internal/dse"
 	"ena/internal/fabric"
 	"ena/internal/faults"
 	"ena/internal/workload"
@@ -33,50 +32,51 @@ import (
 
 // protoVersion guards the shard wire format; a worker rejects mismatched
 // requests so mixed-version fleets fail loudly instead of merging garbage.
-// v2 added the packaging axes (chiplet count / HBM stack capacity /
-// external-chain depth) and explicit point-list shards for surrogate
-// acquisition batches; v1 peers would silently drop those fields, so the
-// bump is deliberate.
-const protoVersion = 2
+// v3 replaced the grid-range, point-list and size-range requests with the
+// one point-list shardRequest; it also keys checkpoints, so a v2
+// checkpoint is never resumed.
+const protoVersion = 3
 
-// ExploreShardRequest asks a worker to evaluate design points [Start, End).
-// In grid form (Points empty) the indices address the canonical enumeration
-// of the given space (dse.Space.Points order, packaging axes included). In
-// list form (Points non-empty — surrogate acquisition batches) the worker
-// evaluates exactly the listed points, and Start/End address the job's
-// global evaluation slots so streamed indices merge positionally:
-// End-Start must equal len(Points), and Points[i] reports index Start+i.
-type ExploreShardRequest struct {
-	V           int         `json:"v"`
-	CUs         []int       `json:"cus,omitempty"`
-	FreqsMHz    []float64   `json:"freqs_mhz,omitempty"`
-	BWsTBps     []float64   `json:"bws_tbps,omitempty"`
-	GPUChiplets []int       `json:"gpu_chiplets,omitempty"`
-	HBMStackGBs []float64   `json:"hbm_stack_gbs,omitempty"`
-	ExtModules  []int       `json:"ext_modules,omitempty"`
-	Points      []dse.Point `json:"points,omitempty"`
-	Kernels     []string    `json:"kernels"`
-	BudgetW     float64     `json:"budget_w"`
-	Opts        uint        `json:"opts"`
-	Start       int         `json:"start"`
-	End         int         `json:"end"`
+// shardRequest is the one shard shape every sweep kind uses: Job holds the
+// kind's fixed parameters (exploreJob or scaleJob), Items exactly the
+// shard's items (design points or node counts), and item i streams back as
+// index Start+i.
+type shardRequest[J, I any] struct {
+	V     int `json:"v"`
+	Job   J   `json:"job"`
+	Start int `json:"start"`
+	Items []I `json:"items"`
 }
 
-// ScaleShardRequest asks a worker to evaluate the given node counts of a
-// machine-scale projection (a contiguous slice of the job's size list).
-type ScaleShardRequest struct {
-	V         int     `json:"v"`
+// shardLine is one line of a shard response stream: an evaluated item
+// ("item", with its index), the "done" trailer with the item count, or a
+// best-effort "error" line.
+type shardLine[R any] struct {
+	Type  string `json:"type"`
+	Index int    `json:"index,omitempty"`
+	Item  *R     `json:"item,omitempty"`
+	Count int    `json:"count,omitempty"`
+	Error string `json:"error,omitempty"`
+}
+
+// exploreJob is an explore sweep's fixed parameters; its items are
+// dse.Points.
+type exploreJob struct {
+	Kernels []string `json:"kernels"`
+	BudgetW float64  `json:"budget_w"`
+	Opts    uint     `json:"opts"`
+}
+
+// scaleJob is a scale sweep's fixed parameters; its items are node counts.
+type scaleJob struct {
 	Kernel    string  `json:"kernel"`
 	Topology  string  `json:"topology"`
-	Sizes     []int   `json:"sizes"`
 	Mode      string  `json:"mode"`
 	LinkGBps  float64 `json:"link_gbps"`
 	LatencyNs float64 `json:"latency_ns"`
 	Ideal     bool    `json:"ideal"`
 	Mask      string  `json:"mask"`
 	Seed      int64   `json:"seed"`
-	Start     int     `json:"start"`
-	End       int     `json:"end"`
 }
 
 // ScaleEval is one node count's evaluation: the healthy fabric point plus —
@@ -87,25 +87,6 @@ type ScaleEval struct {
 	FailedNodes        int          `json:"failed_nodes,omitempty"`
 	DegradedEfficiency float64      `json:"degraded_efficiency,omitempty"`
 	Partitioned        bool         `json:"partitioned,omitempty"`
-}
-
-// shardLine is one line of a shard response stream.
-type shardLine struct {
-	Type  string     `json:"type"` // "eval" | "scale" | "done" | "error"
-	Index int        `json:"index,omitempty"`
-	Eval  *dse.Eval  `json:"eval,omitempty"`
-	Scale *ScaleEval `json:"scale,omitempty"`
-	Count int        `json:"count,omitempty"`
-	Error string     `json:"error,omitempty"`
-}
-
-func (l shardLine) encode() []byte {
-	b, err := json.Marshal(l)
-	if err != nil {
-		// Lines hold only scalars and plain structs; this cannot fail.
-		panic("cluster: line marshal: " + err.Error())
-	}
-	return append(b, '\n')
 }
 
 // shard is a contiguous index range [start, end).
@@ -158,15 +139,76 @@ func chunked(n, chunk int) []shard {
 	return out
 }
 
-// parseMode resolves a wire scaling mode.
-func parseMode(s string) (fabric.Mode, error) {
+// Scale job limits. /v1/scale's request resolution and the scale shard
+// decoder both apply them, so a body no replica would accept as a job is
+// refused on the shard wire too.
+const (
+	// MaxScaleSizes bounds how many node counts one job may sweep.
+	MaxScaleSizes = 16
+	// MaxScaleNodes bounds each count (the §V-F machine is 100k nodes).
+	MaxScaleNodes = 1 << 20
+	// MaxDegradedNodes bounds fault-mask analysis: degraded routing falls
+	// back to per-pair BFS around the victims, which is priced for rack
+	// scale, not the full machine.
+	MaxDegradedNodes = 4096
+)
+
+// ParseMode resolves a scaling mode name; empty means weak.
+func ParseMode(s string) (fabric.Mode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "weak":
 		return fabric.Weak, nil
 	case "strong":
 		return fabric.Strong, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown mode %q (want strong or weak)", s)
+	return 0, fmt.Errorf("unknown mode %q (want strong or weak)", s)
+}
+
+// ParseTopology resolves a fabric topology name; empty means torus.
+func ParseTopology(s string) (string, error) {
+	kind := strings.ToLower(strings.TrimSpace(s))
+	if kind == "" {
+		return "torus", nil
+	}
+	for _, known := range fabric.Kinds() {
+		if kind == known {
+			return kind, nil
+		}
+	}
+	return "", fmt.Errorf("unknown topology %q (want %s)", s, strings.Join(fabric.Kinds(), ", "))
+}
+
+// ParseScaleMask parses a scale job's fault mask, which may only kill whole
+// nodes.
+func ParseScaleMask(s string) (faults.Mask, error) {
+	mask, err := faults.ParseMask(s)
+	if err != nil {
+		return faults.Mask{}, err
+	}
+	node, local := mask.SplitNode()
+	if !local.Empty() {
+		return faults.Mask{}, fmt.Errorf("fault mask %q has non-node terms %q: the fabric only kills whole nodes (use /v1/simulate for intra-node faults)", s, local.String())
+	}
+	return node, nil
+}
+
+// CheckScaleSizes applies the scale limits to a job's node counts;
+// degraded marks a job that carries a fault mask.
+func CheckScaleSizes(sizes []int, degraded bool) error {
+	if len(sizes) > MaxScaleSizes {
+		return fmt.Errorf("%d node counts exceed the per-request limit of %d", len(sizes), MaxScaleSizes)
+	}
+	for _, p := range sizes {
+		switch {
+		case p < 1:
+			return fmt.Errorf("non-positive node count %d", p)
+		case p > MaxScaleNodes:
+			return fmt.Errorf("node count %d exceeds the limit of %d", p, MaxScaleNodes)
+		case degraded && p > MaxDegradedNodes:
+			return fmt.Errorf("fault-mask analysis is limited to %d nodes per topology (requested %d)", MaxDegradedNodes, p)
+		}
+	}
+	return nil
 }
 
 // EvalScale evaluates one node count of a scale job: the healthy analytic
@@ -225,12 +267,4 @@ func resolveKernels(names []string) ([]workload.Kernel, error) {
 		ks[i] = k
 	}
 	return ks, nil
-}
-
-// space reconstructs the dse.Space of a grid-form explore shard request.
-func (r ExploreShardRequest) space() dse.Space {
-	return dse.Space{
-		CUs: r.CUs, FreqsMHz: r.FreqsMHz, BWsTBps: r.BWsTBps,
-		GPUChiplets: r.GPUChiplets, HBMStackGBs: r.HBMStackGBs, ExtModules: r.ExtModules,
-	}
 }

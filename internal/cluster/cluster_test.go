@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -303,27 +304,70 @@ func TestScaleShardedDegradedMatchesLocal(t *testing.T) {
 	}
 }
 
+// Shard bodies at the current protocol version, shared by the rejection
+// table and the fuzz seeds.
+const (
+	exploreJobJSON = `"job":{"kernels":["CoMD"],"budget_w":160,"opts":0}`
+	scaleJobJSON   = `"job":{"kernel":"CoMD","topology":"torus","mode":"weak","link_gbps":50,"latency_ns":500,"ideal":false,"mask":"","seed":0}`
+	validExplore   = `{"v":3,` + exploreJobJSON + `,"start":0,"items":[{"cus":320,"freq_mhz":1000,"bw_tbps":3}]}`
+	validScale     = `{"v":3,` + scaleJobJSON + `,"start":0,"items":[8]}`
+	// The crash bodies: a 2^50-module external chain once panicked inside
+	// arch.ExternalNetwork's make, and a 2^40-node scale shard ran the
+	// process out of memory.
+	crashExplore = `{"v":3,` + exploreJobJSON + `,"start":0,"items":[{"cus":320,"freq_mhz":1000,"bw_tbps":3,"ext_modules":1125899906842624}]}`
+	crashScale   = `{"v":3,` + scaleJobJSON + `,"start":0,"items":[1099511627776]}`
+)
+
 func TestWorkerRejectsBadRequests(t *testing.T) {
 	srv := newWorkerServer(t)
+	const ex, sc = "/v1/internal/shard/explore", "/v1/internal/shard/scale"
 	for _, tc := range []struct {
-		name string
-		path string
-		body string
+		name, path, body, want string
 	}{
-		{"bad json", "/v1/internal/shard/explore", `{`},
-		{"bad version", "/v1/internal/shard/explore", `{"v":99,"cus":[192],"freqs_mhz":[1000],"bws_tbps":[3],"kernels":["CoMD"],"budget_w":160,"start":0,"end":1}`},
-		{"unknown kernel", "/v1/internal/shard/explore", `{"v":1,"cus":[192],"freqs_mhz":[1000],"bws_tbps":[3],"kernels":["nope"],"budget_w":160,"start":0,"end":1}`},
-		{"bad range", "/v1/internal/shard/explore", `{"v":1,"cus":[192],"freqs_mhz":[1000],"bws_tbps":[3],"kernels":["CoMD"],"budget_w":160,"start":0,"end":9}`},
-		{"bad scale mode", "/v1/internal/shard/scale", `{"v":1,"kernel":"CoMD","topology":"torus","sizes":[8],"mode":"sideways","link_gbps":50,"latency_ns":500,"start":0,"end":1}`},
-		{"bad scale range", "/v1/internal/shard/scale", `{"v":1,"kernel":"CoMD","topology":"torus","sizes":[8],"mode":"weak","link_gbps":50,"latency_ns":500,"start":1,"end":1}`},
+		{"bad json", ex, `{`, "invalid shard request"},
+		{"v2 grid shape", ex, `{"v":3,"cus":[192],"freqs_mhz":[1000],"bws_tbps":[3],"kernels":["CoMD"],"budget_w":160,"start":0,"end":1}`, "unknown field"},
+		{"bad version", ex, strings.Replace(validExplore, `"v":3`, `"v":2`, 1), "shard protocol v2, want v3"},
+		{"unknown kernel", ex, strings.Replace(validExplore, `"CoMD"`, `"nope"`, 1), `unknown kernel "nope"`},
+		{"no kernels", ex, strings.Replace(validExplore, `["CoMD"]`, `[]`, 1), "no kernels"},
+		{"negative start", ex, strings.Replace(validExplore, `"start":0`, `"start":-1`, 1), "bad shard range"},
+		{"no items", ex, `{"v":3,` + exploreJobJSON + `,"start":0,"items":[]}`, "bad shard range"},
+		{"bad point", ex, strings.Replace(validExplore, `"cus":320`, `"cus":0`, 1), `"cus" has non-positive value 0`},
+		{"crash ext modules", ex, crashExplore, `"extmod" value 1125899906842624 exceeds the limit of 16`},
+		{"crash chiplets", ex, strings.Replace(crashExplore, `"ext_modules"`, `"gpu_chiplets"`, 1), `"chiplets" value 1125899906842624 exceeds the limit of 384`},
+		{"bad scale mode", sc, strings.Replace(validScale, `"weak"`, `"sideways"`, 1), `unknown mode "sideways"`},
+		{"unknown topology", sc, strings.Replace(validScale, `"torus"`, `"hypercube"`, 1), `unknown topology "hypercube"`},
+		{"negative link", sc, strings.Replace(validScale, `"link_gbps":50`, `"link_gbps":-1`, 1), "negative link parameters"},
+		{"non-node mask", sc, strings.Replace(validScale, `"mask":""`, `"mask":"gpu:1"`, 1), "non-node terms"},
+		{"bad scale range", sc, strings.Replace(validScale, `"start":0`, `"start":-3`, 1), "bad shard range"},
+		{"zero nodes", sc, strings.Replace(validScale, `[8]`, `[0]`, 1), "non-positive node count 0"},
+		{"too many sizes", sc, strings.Replace(validScale, `[8]`, `[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17]`, 1), "per-request limit of 16"},
+		{"degraded too large", sc, strings.Replace(strings.Replace(validScale, `"mask":""`, `"mask":"node:1"`, 1), `[8]`, `[8192]`, 1), "limited to 4096 nodes"},
+		{"crash scale size", sc, crashScale, "node count 1099511627776 exceeds the limit of 1048576"},
 	} {
 		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+			t.Errorf("%s: status = %d, want 400 (%s)", tc.name, resp.StatusCode, msg)
+			continue
+		}
+		if !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: body %q does not name %q", tc.name, msg, tc.want)
+		}
+	}
+	// The valid bodies the cases were cut from are accepted.
+	for _, tc := range []struct{ path, body string }{{ex, validExplore}, {sc, validScale}} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(msg), `"type":"done","count":1`) {
+			t.Errorf("%s: status %d, body %q; want a 200 stream ending in done", tc.path, resp.StatusCode, msg)
 		}
 	}
 }

@@ -107,7 +107,8 @@ func (c *Coordinator) SetProber(p *Prober) {
 
 // EnableCheckpoints persists completed shard partials to cs so an adopted or
 // restarted job resumes from its checkpoint instead of recomputing. chunk
-// fixes the explore shard size (<= 0 uses DefaultCheckpointItems); fixed
+// fixes the explore shard size (<= 0 uses DefaultCheckpointItems; at most
+// maxShardItems) and caps the scale one at defaultScaleChunk; fixed
 // chunks keep shard boundaries identical across replicas with different
 // peer sets, which is what makes another replica's checkpoints resumable.
 func (c *Coordinator) EnableCheckpoints(cs CkptStore, chunk int) {
@@ -116,11 +117,8 @@ func (c *Coordinator) EnableCheckpoints(cs CkptStore, chunk int) {
 	}
 	c.ckpt = cs
 	if chunk > 0 {
-		c.ckptChunk = chunk
-		c.scaleChunk = chunk
-		if c.scaleChunk > defaultScaleChunk {
-			c.scaleChunk = defaultScaleChunk
-		}
+		c.ckptChunk = min(chunk, maxShardItems)
+		c.scaleChunk = min(chunk, defaultScaleChunk)
 	}
 }
 
@@ -133,21 +131,10 @@ func (c *Coordinator) SetEvalDelay(d time.Duration) {
 	}
 }
 
-// Enabled reports whether the coordinator has peers to shard onto.
-func (c *Coordinator) Enabled() bool { return c != nil && len(c.peers) > 0 }
-
 // Active reports whether sweeps should run through the coordinator at all:
 // it has peers to fan out to, or a checkpoint store that makes even a
 // single-process sweep resumable.
 func (c *Coordinator) Active() bool { return c != nil && (len(c.peers) > 0 || c.ckpt != nil) }
-
-// Peers returns the configured peer URLs.
-func (c *Coordinator) Peers() []string {
-	if c == nil {
-		return nil
-	}
-	return append([]string(nil), c.peers...)
-}
 
 // activePeers is the shard-assignment set: the prober's healthy peers when
 // health tracking is on, the static list otherwise.
@@ -195,356 +182,216 @@ func chaosSleep(ctx context.Context, d time.Duration) {
 
 // Explore shards the design space across the peers and merges the evaluated
 // points into the same Outcome a local dse sweep produces — bit-identical,
-// including under per-shard failover (see runShards). A non-empty ckptKey
-// (the job's canonical result key) checkpoints completed shards when a
+// including under per-shard failover (see sweep). A non-empty ckptKey (the
+// job's canonical result key) checkpoints completed shards when a
 // checkpoint store is installed, and resumes any shard a previous attempt —
 // this replica's or a dead peer coordinator's — already persisted.
 func (c *Coordinator) Explore(ctx context.Context, space dse.Space, kernels []workload.Kernel, names []string, budgetW float64, opts powopt.Technique, ckptKey string) (dse.Outcome, error) {
-	pts := space.Points()
-	evals := make([]dse.Eval, len(pts))
-	filled := make([]atomic.Bool, len(pts))
-	job := shardRun{
-		n:     len(pts),
-		chunk: c.ckptChunk,
-		makeReq: func(sh shard) (string, any) {
-			return "/v1/internal/shard/explore", ExploreShardRequest{
-				V: protoVersion, CUs: space.CUs, FreqsMHz: space.FreqsMHz, BWsTBps: space.BWsTBps,
-				GPUChiplets: space.GPUChiplets, HBMStackGBs: space.HBMStackGBs, ExtModules: space.ExtModules,
-				Kernels: names, BudgetW: budgetW, Opts: uint(opts), Start: sh.start, End: sh.end,
-			}
-		},
-		apply: func(l shardLine) error {
-			if l.Type != "eval" || l.Eval == nil {
-				return fmt.Errorf("cluster: unexpected %q line in explore stream", l.Type)
-			}
-			if l.Index < 0 || l.Index >= len(pts) {
-				return fmt.Errorf("cluster: eval index %d out of the %d-point space", l.Index, len(pts))
-			}
-			evals[l.Index] = *l.Eval
-			filled[l.Index].Store(true)
-			return nil
-		},
-		local: func(ctx context.Context, sh shard) error {
-			return parallelRange(ctx, sh.end-sh.start, func(ctx context.Context, i int) error {
-				chaosSleep(ctx, c.evalDelay)
-				ev, err := dse.EvaluatePointContext(ctx, pts[sh.start+i], kernels, budgetW, opts)
-				if err != nil {
-					return err
-				}
-				evals[sh.start+i] = ev
-				filled[sh.start+i].Store(true)
-				return nil
-			})
-		},
-	}
-	if c.ckpt != nil && ckptKey != "" {
-		prefix := fmt.Sprintf("ck:explore:%d:%s:", protoVersion, ckptKey)
-		job.loadCkpt = func(sh shard) bool {
-			data, ok := c.ckpt.Get(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end))
-			if !ok {
-				return false
-			}
-			var part []dse.Eval
-			if err := json.Unmarshal(data, &part); err != nil || len(part) != sh.end-sh.start {
-				return false
-			}
-			for i := range part {
-				evals[sh.start+i] = part[i]
-				filled[sh.start+i].Store(true)
-			}
-			return true
-		}
-		job.saveCkpt = func(sh shard) {
-			b, err := json.Marshal(evals[sh.start:sh.end])
-			if err != nil {
-				return
-			}
-			if c.ckpt.Put(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end), b) == nil {
-				c.ckptCtr.Inc()
-			}
-		}
-	}
-	if err := c.runShards(ctx, job); err != nil {
+	evals, err := c.evaluate(ctx, space.Points(), kernels, names, budgetW, opts, ckptKey)
+	if err != nil {
 		return dse.Outcome{}, err
-	}
-	for i := range filled {
-		if !filled[i].Load() {
-			return dse.Outcome{}, fmt.Errorf("cluster: point %d never evaluated (coordinator bug)", i)
-		}
 	}
 	return dse.Finalize(evals, kernels, budgetW, opts), nil
 }
 
 // EvaluatePoints shards an explicit design-point list — a surrogate
 // explorer's acquisition batch — across the peers and returns the Evals in
-// list order, each computed by dse.EvaluatePointContext exactly as a grid
-// shard computes it (MeanScore zero; the explorer's Finalize assigns it).
-// Batches are transient mid-acquisition state, so they are never
+// list order, each computed by dse.EvaluatePointContext exactly as an
+// Explore shard computes it (MeanScore zero; the explorer's Finalize assigns
+// it). Batches are transient mid-acquisition state, so they are never
 // checkpointed: a restarted surrogate job replays its seeded acquisition
-// from the (cached) evaluations instead. The shardRun machinery — pullers,
-// retire-on-failure, requeue, local fallback — is exactly the grid path's.
+// from the (cached) evaluations instead.
 func (c *Coordinator) EvaluatePoints(ctx context.Context, pts []dse.Point, kernels []workload.Kernel, names []string, budgetW float64, opts powopt.Technique) ([]dse.Eval, error) {
-	evals := make([]dse.Eval, len(pts))
-	filled := make([]atomic.Bool, len(pts))
-	job := shardRun{
-		n:     len(pts),
-		chunk: c.ckptChunk,
-		makeReq: func(sh shard) (string, any) {
-			return "/v1/internal/shard/explore", ExploreShardRequest{
-				V: protoVersion, Points: pts[sh.start:sh.end],
-				Kernels: names, BudgetW: budgetW, Opts: uint(opts), Start: sh.start, End: sh.end,
-			}
-		},
-		apply: func(l shardLine) error {
-			if l.Type != "eval" || l.Eval == nil {
-				return fmt.Errorf("cluster: unexpected %q line in explore stream", l.Type)
-			}
-			if l.Index < 0 || l.Index >= len(pts) {
-				return fmt.Errorf("cluster: eval index %d out of the %d-point batch", l.Index, len(pts))
-			}
-			evals[l.Index] = *l.Eval
-			filled[l.Index].Store(true)
-			return nil
-		},
-		local: func(ctx context.Context, sh shard) error {
-			return parallelRange(ctx, sh.end-sh.start, func(ctx context.Context, i int) error {
-				chaosSleep(ctx, c.evalDelay)
-				ev, err := dse.EvaluatePointContext(ctx, pts[sh.start+i], kernels, budgetW, opts)
-				if err != nil {
-					return err
-				}
-				evals[sh.start+i] = ev
-				filled[sh.start+i].Store(true)
-				return nil
-			})
-		},
-	}
-	if err := c.runShards(ctx, job); err != nil {
-		return nil, err
-	}
-	for i := range filled {
-		if !filled[i].Load() {
-			return nil, fmt.Errorf("cluster: batch point %d never evaluated (coordinator bug)", i)
-		}
-	}
-	return evals, nil
+	return c.evaluate(ctx, pts, kernels, names, budgetW, opts, "")
+}
+
+// evaluate is the explore sweep over an explicit point list.
+func (c *Coordinator) evaluate(ctx context.Context, pts []dse.Point, kernels []workload.Kernel, names []string, budgetW float64, opts powopt.Technique, ckptKey string) ([]dse.Eval, error) {
+	job := exploreJob{Kernels: names, BudgetW: budgetW, Opts: uint(opts)}
+	return sweep(ctx, c, "explore", job, pts, c.ckptChunk, ckptKey,
+		func(ctx context.Context, p dse.Point) (dse.Eval, error) {
+			return dse.EvaluatePointContext(ctx, p, kernels, budgetW, opts)
+		})
 }
 
 // Scale shards a machine-scale projection's node counts across the peers
 // and returns the per-size evaluations in size order. ckptKey works as in
 // Explore.
 func (c *Coordinator) Scale(ctx context.Context, kind string, spec fabric.LinkSpec, k workload.Kernel, rate float64, sizes []int, mode fabric.Mode, mask faults.Mask, maskStr string, seed int64, ckptKey string) ([]ScaleEval, error) {
-	out := make([]ScaleEval, len(sizes))
-	filled := make([]atomic.Bool, len(sizes))
-	job := shardRun{
-		n:     len(sizes),
-		chunk: c.scaleChunk,
-		makeReq: func(sh shard) (string, any) {
-			return "/v1/internal/shard/scale", ScaleShardRequest{
-				V: protoVersion, Kernel: k.Name, Topology: kind, Sizes: sizes, Mode: mode.String(),
-				LinkGBps: spec.BandwidthGBps, LatencyNs: spec.LatencyNs, Ideal: spec.Ideal,
-				Mask: maskStr, Seed: seed, Start: sh.start, End: sh.end,
-			}
-		},
-		apply: func(l shardLine) error {
-			if l.Type != "scale" || l.Scale == nil {
-				return fmt.Errorf("cluster: unexpected %q line in scale stream", l.Type)
-			}
-			if l.Index < 0 || l.Index >= len(sizes) {
-				return fmt.Errorf("cluster: scale index %d out of %d sizes", l.Index, len(sizes))
-			}
-			out[l.Index] = *l.Scale
-			filled[l.Index].Store(true)
-			return nil
-		},
-		local: func(ctx context.Context, sh shard) error {
-			for i := sh.start; i < sh.end; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				chaosSleep(ctx, c.evalDelay)
-				se, err := EvalScale(kind, spec, k, rate, sizes[i], mode, mask, seed)
-				if err != nil {
-					return err
-				}
-				out[i] = se
-				filled[i].Store(true)
-			}
-			return nil
-		},
+	job := scaleJob{
+		Kernel: k.Name, Topology: kind, Mode: mode.String(),
+		LinkGBps: spec.BandwidthGBps, LatencyNs: spec.LatencyNs, Ideal: spec.Ideal,
+		Mask: maskStr, Seed: seed,
 	}
-	if c.ckpt != nil && ckptKey != "" {
-		prefix := fmt.Sprintf("ck:scale:%d:%s:", protoVersion, ckptKey)
-		job.loadCkpt = func(sh shard) bool {
-			data, ok := c.ckpt.Get(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end))
-			if !ok {
-				return false
-			}
-			var part []ScaleEval
-			if err := json.Unmarshal(data, &part); err != nil || len(part) != sh.end-sh.start {
-				return false
-			}
-			for i := range part {
-				out[sh.start+i] = part[i]
-				filled[sh.start+i].Store(true)
-			}
-			return true
+	return sweep(ctx, c, "scale", job, sizes, c.scaleChunk, ckptKey,
+		func(_ context.Context, size int) (ScaleEval, error) {
+			return EvalScale(kind, spec, k, rate, size, mode, mask, seed)
+		})
+}
+
+// maxShardItems caps a shard's item count so every shard request fits the
+// worker's maxShardBody, however large the sweep.
+const maxShardItems = 4096
+
+// sweep is the one sweep driver. It splits items into shards and drives
+// them to completion: pullers (one or two per healthy peer, by probe
+// latency) pull shards from a shared queue and stream their results; a
+// shard whose stream fails is requeued for the surviving peers (the failed
+// peer is retired for the rest of the job and reported to the prober);
+// shards left over when every peer has been retired are evaluated locally
+// with eval — the coordinator is itself a capable replica, so total peer
+// loss degrades to a single-process sweep instead of an error. Results
+// merge positionally, so the output is in item order whoever computed it.
+//
+// With a checkpoint store and a non-empty ckptKey, shards are fixed chunks
+// of chunk items (peer-independent boundaries), a shard whose results are
+// already persisted under ckptKey is resumed without dispatch, and every
+// completed shard is persisted before it is counted done.
+func sweep[J, I, R any](ctx context.Context, c *Coordinator, kind string, job J, items []I, chunk int, ckptKey string, eval func(context.Context, I) (R, error)) ([]R, error) {
+	out := make([]R, len(items))
+	filled := make([]atomic.Bool, len(items))
+	put := func(i int, r R) {
+		out[i] = r
+		filled[i].Store(true)
+	}
+	ckpt := c.ckpt != nil && ckptKey != ""
+	ckptName := func(sh shard) string {
+		return fmt.Sprintf("ck:%d:%s:%s:%d-%d", protoVersion, kind, ckptKey, sh.start, sh.end)
+	}
+	save := func(sh shard) {
+		if !ckpt {
+			return
 		}
-		job.saveCkpt = func(sh shard) {
-			b, err := json.Marshal(out[sh.start:sh.end])
-			if err != nil {
-				return
-			}
-			if c.ckpt.Put(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end), b) == nil {
-				c.ckptCtr.Inc()
-			}
+		if b, err := json.Marshal(out[sh.start:sh.end]); err == nil && c.ckpt.Put(ckptName(sh), b) == nil {
+			c.ckptCtr.Inc()
 		}
 	}
-	if err := c.runShards(ctx, job); err != nil {
+	resume := func(sh shard) bool {
+		data, ok := c.ckpt.Get(ckptName(sh))
+		if !ok {
+			return false
+		}
+		var part []R
+		if err := json.Unmarshal(data, &part); err != nil || len(part) != sh.end-sh.start {
+			return false
+		}
+		for i := range part {
+			put(sh.start+i, part[i])
+		}
+		return true
+	}
+
+	peers := c.activePeers()
+	var shards []shard
+	if ckpt {
+		shards = chunked(len(items), chunk)
+	} else {
+		k := max(len(peers)*c.shardsPer, (len(items)+maxShardItems-1)/maxShardItems)
+		shards = partition(len(items), k)
+	}
+	pending := make(chan shard, len(shards))
+	for _, sh := range shards {
+		if ckpt && resume(sh) {
+			c.resumedCtr.Inc()
+			continue
+		}
+		pending <- sh
+	}
+	var remaining atomic.Int64
+	remaining.Store(int64(len(pending)))
+	if remaining.Load() > 0 {
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, peer := range peers {
+			var retired atomic.Bool // shared by this peer's pullers
+			for p := 0; p < c.pullerCount(peer, peers); p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						case <-ctx.Done():
+							return
+						case sh := <-pending:
+							if retired.Load() {
+								pending <- sh
+								return
+							}
+							c.dispatched.Inc()
+							req := shardRequest[J, I]{V: protoVersion, Job: job, Start: sh.start, Items: items[sh.start:sh.end]}
+							if err := runShard(ctx, c, peer, kind, req, put); err != nil {
+								// Put the shard back for the survivors and
+								// retire this peer: a worker that failed once
+								// (crashed, drained, unreachable) is not
+								// retried this job.
+								pending <- sh
+								retired.Store(true)
+								if ctx.Err() == nil {
+									c.peerFails.Inc()
+									c.retries.Inc()
+									c.prober.ReportFailure(peer)
+								}
+								return
+							}
+							c.prober.ReportSuccess(peer, 0)
+							save(sh)
+							if remaining.Add(-1) == 0 {
+								close(done)
+								return
+							}
+						}
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	// Whatever is left had no surviving peer to run on.
+	for ; remaining.Load() > 0; remaining.Add(-1) {
+		var sh shard
+		select {
+		case sh = <-pending:
+		default:
+			return nil, errors.New("cluster: shard accounting mismatch (coordinator bug)")
+		}
+		c.localShards.Inc()
+		err := ParallelRange(ctx, sh.end-sh.start, func(ctx context.Context, i int) error {
+			chaosSleep(ctx, c.evalDelay)
+			r, err := eval(ctx, items[sh.start+i])
+			if err != nil {
+				return err
+			}
+			put(sh.start+i, r)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		save(sh)
 	}
 	for i := range filled {
 		if !filled[i].Load() {
-			return nil, fmt.Errorf("cluster: size %d never evaluated (coordinator bug)", sizes[i])
+			return nil, fmt.Errorf("cluster: %s item %d never evaluated (coordinator bug)", kind, i)
 		}
 	}
 	return out, nil
 }
 
-// shardRun is one sweep's sharding plan: the index-space size, the request
-// builder and line-merge callback for the peer path, the local evaluator,
-// and — when checkpointing — the shard resume/persist hooks.
-type shardRun struct {
-	n        int
-	chunk    int
-	makeReq  func(shard) (string, any)
-	apply    func(shardLine) error
-	local    func(context.Context, shard) error
-	loadCkpt func(shard) bool // nil disables checkpointing
-	saveCkpt func(shard)
-}
-
-// runShards partitions the job's index space into shards and drives them to
-// completion: pullers (one or two per healthy peer, by probe latency) pull
-// shards from a shared queue and stream their results; a shard whose stream
-// fails is requeued for the surviving peers (the failed peer is retired for
-// the rest of the job and reported to the prober); shards left over when
-// every peer has been retired are evaluated locally via the fallback — the
-// coordinator is itself a capable replica, so total peer loss degrades to a
-// single-process sweep instead of an error.
-//
-// With checkpointing on, shards are fixed-size chunks (peer-independent
-// boundaries), shards whose partial is already persisted are resumed without
-// dispatch, and every completed shard is persisted before being counted
-// done.
-func (c *Coordinator) runShards(ctx context.Context, job shardRun) error {
-	var shards []shard
-	ckpt := job.loadCkpt != nil
-	peers := c.activePeers()
-	if ckpt {
-		shards = chunked(job.n, job.chunk)
-	} else {
-		shards = partition(job.n, len(peers)*c.shardsPer)
-	}
-	if len(shards) == 0 {
-		return nil
-	}
-	todo := shards[:0:0]
-	for _, sh := range shards {
-		if ckpt && job.loadCkpt(sh) {
-			c.resumedCtr.Inc()
-			continue
-		}
-		todo = append(todo, sh)
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	pending := make(chan shard, len(todo))
-	for _, sh := range todo {
-		pending <- sh
-	}
-	var remaining atomic.Int64
-	remaining.Store(int64(len(todo)))
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, peer := range peers {
-		var retired atomic.Bool // shared by this peer's pullers
-		for p := 0; p < c.pullerCount(peer, peers); p++ {
-			wg.Add(1)
-			go func(peer string, retired *atomic.Bool) {
-				defer wg.Done()
-				for {
-					select {
-					case <-done:
-						return
-					case <-ctx.Done():
-						return
-					case sh := <-pending:
-						if retired.Load() {
-							pending <- sh
-							return
-						}
-						c.dispatched.Inc()
-						if err := c.runShard(ctx, peer, sh, job.makeReq, job.apply); err != nil {
-							// Put the shard back for the survivors and retire
-							// this peer: a worker that failed once (crashed,
-							// drained, unreachable) is not retried this job.
-							pending <- sh
-							retired.Store(true)
-							if ctx.Err() == nil {
-								c.peerFails.Inc()
-								c.retries.Inc()
-								c.prober.ReportFailure(peer)
-							}
-							return
-						}
-						c.prober.ReportSuccess(peer, 0)
-						if job.saveCkpt != nil {
-							job.saveCkpt(sh)
-						}
-						if remaining.Add(-1) == 0 {
-							close(done)
-							return
-						}
-					}
-				}
-			}(peer, &retired)
-		}
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Whatever is left had no surviving peer to run on.
-	for remaining.Load() > 0 {
-		select {
-		case sh := <-pending:
-			c.localShards.Inc()
-			if err := job.local(ctx, sh); err != nil {
-				return err
-			}
-			if job.saveCkpt != nil {
-				job.saveCkpt(sh)
-			}
-			remaining.Add(-1)
-		default:
-			return errors.New("cluster: shard accounting mismatch (coordinator bug)")
-		}
-	}
-	return nil
-}
-
-// runShard posts one shard to a peer and applies its streamed lines. Any
-// transport error, non-200 status, malformed line, or a stream that ends
-// without the "done" trailer fails the shard.
-func (c *Coordinator) runShard(ctx context.Context, peer string, sh shard, makeReq func(shard) (string, any), apply func(shardLine) error) error {
-	path, reqBody := makeReq(sh)
-	body, err := json.Marshal(reqBody)
+// runShard posts one shard to a peer and merges its streamed items through
+// put. Any transport error, non-200 status, malformed line, item index
+// outside the shard, or a stream that ends without the "done" trailer fails
+// the shard.
+func runShard[J, I, R any](ctx context.Context, c *Coordinator, peer, kind string, sr shardRequest[J, I], put func(int, R)) error {
+	body, err := json.Marshal(sr)
 	if err != nil {
 		return fmt.Errorf("cluster: shard request marshal: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/internal/shard/"+kind, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -558,6 +405,7 @@ func (c *Coordinator) runShard(ctx context.Context, peer string, sh shard, makeR
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return fmt.Errorf("cluster: peer %s: %s: %s", peer, resp.Status, bytes.TrimSpace(msg))
 	}
+	n := len(sr.Items)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
 	items := 0
@@ -566,47 +414,31 @@ func (c *Coordinator) runShard(ctx context.Context, peer string, sh shard, makeR
 		if len(line) == 0 {
 			continue
 		}
-		var l shardLine
+		var l shardLine[R]
 		if err := json.Unmarshal(line, &l); err != nil {
 			return fmt.Errorf("cluster: bad stream line from %s: %w", peer, err)
 		}
 		switch l.Type {
 		case "done":
-			if l.Count != sh.end-sh.start {
-				return fmt.Errorf("cluster: peer %s finished %d items, want %d", peer, l.Count, sh.end-sh.start)
+			if l.Count != n {
+				return fmt.Errorf("cluster: peer %s finished %d items, want %d", peer, l.Count, n)
 			}
 			return nil
 		case "error":
 			return fmt.Errorf("cluster: peer %s shard error: %s", peer, l.Error)
-		default:
-			if err := apply(l); err != nil {
-				return err
+		case "item":
+			if l.Item == nil || l.Index < sr.Start || l.Index >= sr.Start+n {
+				return fmt.Errorf("cluster: peer %s sent item %d outside its shard [%d, %d)", peer, l.Index, sr.Start, sr.Start+n)
 			}
+			put(l.Index, *l.Item)
 			c.itemsCtr.Inc()
 			items++
+		default:
+			return fmt.Errorf("cluster: unexpected %q line from %s", l.Type, peer)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("cluster: stream from %s cut after %d items: %w", peer, items, err)
 	}
 	return fmt.Errorf("cluster: stream from %s ended after %d items without done", peer, items)
-}
-
-// Ping probes one peer's internal liveness route.
-func (c *Coordinator) Ping(ctx context.Context, peer string) error {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/internal/ping", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer %s: %s", peer, resp.Status)
-	}
-	return nil
 }

@@ -140,3 +140,35 @@ func TestExploreExpandedSpaceSharded(t *testing.T) {
 		t.Fatal("sharded expanded-space sweep differs from the single-process sweep")
 	}
 }
+
+// TestExploreLargeSpaceShardsFitTheWire: one peer taking the whole
+// 13,230-point packaging space would need a ~1.2 MB request, over the
+// worker's body limit. The coordinator splits it into shards of at most
+// maxShardItems, so every point still streams from the worker.
+func TestExploreLargeSpaceShardsFitTheWire(t *testing.T) {
+	space := dse.DefaultSpace()
+	space.GPUChiplets, space.HBMStackGBs, space.ExtModules = []int{2, 4, 8}, []float64{8, 16, 32}, []int{2, 3, 4}
+	kernels, names := testKernels(t)
+	kernels, names = kernels[:1], names[:1]
+	const budget = 160.0
+
+	want := dse.Explore(space, kernels, budget, 0)
+
+	reg := obs.NewRegistry()
+	c := NewCoordinator([]string{newWorkerServer(t).URL}, reg)
+	c.shardsPer = 1
+	got, err := c.Explore(context.Background(), space, kernels, names, budget, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sharded packaging-space sweep differs from the single-process sweep")
+	}
+	n := space.Size()
+	if got, want := reg.Counter("cluster.shards_dispatched").Value(), int64((n+maxShardItems-1)/maxShardItems); got != want {
+		t.Errorf("shards_dispatched = %d, want %d", got, want)
+	}
+	if got := reg.Counter("cluster.items_streamed").Value(); got != int64(n) {
+		t.Errorf("items_streamed = %d, want %d (did a shard fall back locally?)", got, n)
+	}
+}

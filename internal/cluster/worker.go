@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -12,7 +13,6 @@ import (
 	"ena/internal/dse"
 	"ena/internal/exp"
 	"ena/internal/fabric"
-	"ena/internal/faults"
 	"ena/internal/obs"
 	"ena/internal/powopt"
 	"ena/internal/workload"
@@ -21,8 +21,8 @@ import (
 // WorkerHandler serves the internal shard-evaluation routes an enaserve
 // worker peer (enaserve -worker) mounts:
 //
-//	POST /v1/internal/shard/explore   evaluate a design-point range, NDJSON stream
-//	POST /v1/internal/shard/scale     evaluate a node-count range, NDJSON stream
+//	POST /v1/internal/shard/explore   evaluate listed design points, NDJSON stream
+//	POST /v1/internal/shard/scale     evaluate listed node counts, NDJSON stream
 //	GET  /v1/internal/ping            worker liveness
 //
 // Responses stream one line per completed item and flush eagerly, so the
@@ -37,15 +37,14 @@ func WorkerHandler(reg *obs.Registry) http.Handler { return WorkerHandlerDelay(r
 // tests have a window to hit (see Coordinator.SetEvalDelay).
 func WorkerHandlerDelay(reg *obs.Registry, evalDelay time.Duration) http.Handler {
 	w := &worker{
-		reg:       reg,
 		delay:     evalDelay,
 		shardsCtr: reg.Counter("cluster.worker.shards"),
 		itemsCtr:  reg.Counter("cluster.worker.items"),
 		errsCtr:   reg.Counter("cluster.worker.errors"),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/internal/shard/explore", w.handleExplore)
-	mux.HandleFunc("POST /v1/internal/shard/scale", w.handleScale)
+	mux.HandleFunc("POST /v1/internal/shard/explore", serveShard(w, prepareExplore))
+	mux.HandleFunc("POST /v1/internal/shard/scale", serveShard(w, prepareScale))
 	mux.HandleFunc("GET /v1/internal/ping", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
 		rw.Write([]byte(`{"status":"ok"}` + "\n"))
@@ -54,14 +53,15 @@ func WorkerHandlerDelay(reg *obs.Registry, evalDelay time.Duration) http.Handler
 }
 
 type worker struct {
-	reg       *obs.Registry
 	delay     time.Duration
 	shardsCtr *obs.Counter
 	itemsCtr  *obs.Counter
 	errsCtr   *obs.Counter
 }
 
-// maxShardBody bounds shard request bodies (they are small JSON documents).
+// maxShardBody bounds shard request bodies. A listed design point encodes
+// in well under 256 bytes, so the coordinator's maxShardItems cap keeps
+// every shard it sends inside this bound.
 const maxShardBody = 1 << 20
 
 // streamer serializes NDJSON lines onto a response writer, flushing each so
@@ -80,13 +80,19 @@ func newStreamer(w http.ResponseWriter) *streamer {
 	return &streamer{w: w, fl: fl}
 }
 
-func (s *streamer) send(l shardLine) error {
+// send encodes one line and writes it. An item that does not encode (a
+// non-finite float) fails the shard like any evaluation error.
+func (s *streamer) send(line any) error {
+	b, err := json.Marshal(line)
+	if err != nil {
+		return fmt.Errorf("cluster: line marshal: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wrErr != nil {
 		return s.wrErr
 	}
-	if _, err := s.w.Write(l.encode()); err != nil {
+	if _, err := s.w.Write(append(b, '\n')); err != nil {
 		s.wrErr = err
 		return err
 	}
@@ -96,126 +102,113 @@ func (s *streamer) send(l shardLine) error {
 	return nil
 }
 
-// decodeShard decodes the shard request body into v and then checks the
-// version field via the getV callback — the version can only be read after
-// the decode has populated it.
-func decodeShard(w http.ResponseWriter, r *http.Request, v any, getV func() int) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid shard request: %w", err)
-	}
-	if got := getV(); got != protoVersion {
-		return fmt.Errorf("shard protocol v%d, want v%d", got, protoVersion)
-	}
-	return nil
-}
-
-func (wk *worker) handleExplore(rw http.ResponseWriter, r *http.Request) {
-	var req ExploreShardRequest
-	if err := decodeShard(rw, r, &req, func() int { return req.V }); err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	kernels, err := resolveKernels(req.Kernels)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// List form: evaluate the explicit points, reporting global indices
-	// Start+i. Grid form: index the canonical space enumeration directly.
-	var point func(i int) dse.Point
-	if len(req.Points) > 0 {
-		if req.Start < 0 || req.End-req.Start != len(req.Points) {
-			http.Error(rw, fmt.Sprintf("shard range [%d, %d) does not cover the %d listed points", req.Start, req.End, len(req.Points)), http.StatusBadRequest)
+// serveShard is the one shard handler. It decodes a shard request of the
+// kind's shape and lets the kind's prepare function check the job and the
+// items and build the per-item evaluator; any fault so far is a 400. It
+// then streams every item's result and the "done" trailer.
+func serveShard[J, I, R any](wk *worker, prepare func(J, []I) (func(context.Context, I) (R, error), error)) http.HandlerFunc {
+	return func(rw http.ResponseWriter, r *http.Request) {
+		var req shardRequest[J, I]
+		dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBody))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			http.Error(rw, "invalid shard request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		point = func(i int) dse.Point { return req.Points[i] }
-	} else {
-		pts := req.space().Points()
-		if req.Start < 0 || req.End > len(pts) || req.Start >= req.End {
-			http.Error(rw, fmt.Sprintf("shard range [%d, %d) out of the %d-point space", req.Start, req.End, len(pts)), http.StatusBadRequest)
+		if req.V != protoVersion {
+			http.Error(rw, fmt.Sprintf("shard protocol v%d, want v%d", req.V, protoVersion), http.StatusBadRequest)
 			return
 		}
-		point = func(i int) dse.Point { return pts[req.Start+i] }
-	}
-	wk.shardsCtr.Inc()
-	st := newStreamer(rw)
-	n := req.End - req.Start
-	err = parallelRange(r.Context(), n, func(ctx context.Context, i int) error {
-		idx := req.Start + i
-		chaosSleep(ctx, wk.delay)
-		ev, err := dse.EvaluatePointContext(ctx, point(i), kernels, req.BudgetW, powopt.Technique(req.Opts))
+		n := len(req.Items)
+		if req.Start < 0 || n == 0 || req.Start > math.MaxInt-n {
+			http.Error(rw, fmt.Sprintf("bad shard range: start %d with %d items", req.Start, n), http.StatusBadRequest)
+			return
+		}
+		eval, err := prepare(req.Job, req.Items)
 		if err != nil {
-			return err
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
 		}
-		wk.itemsCtr.Inc()
-		return st.send(shardLine{Type: "eval", Index: idx, Eval: &ev})
-	})
-	if err != nil {
-		// The status line is already out; the truncated stream (no "done")
-		// is the failure signal. Send a best-effort error line for logs.
-		wk.errsCtr.Inc()
-		st.send(shardLine{Type: "error", Error: err.Error()})
-		return
+		wk.shardsCtr.Inc()
+		st := newStreamer(rw)
+		err = ParallelRange(r.Context(), n, func(ctx context.Context, i int) error {
+			chaosSleep(ctx, wk.delay)
+			res, err := eval(ctx, req.Items[i])
+			if err != nil {
+				return err
+			}
+			wk.itemsCtr.Inc()
+			return st.send(shardLine[R]{Type: "item", Index: req.Start + i, Item: &res})
+		})
+		if err != nil {
+			// The status line is already out; the truncated stream (no
+			// "done") is the failure signal. Send a best-effort error line
+			// for logs.
+			wk.errsCtr.Inc()
+			st.send(shardLine[R]{Type: "error", Error: err.Error()})
+			return
+		}
+		st.send(shardLine[R]{Type: "done", Count: n})
 	}
-	st.send(shardLine{Type: "done", Count: n})
 }
 
-func (wk *worker) handleScale(rw http.ResponseWriter, r *http.Request) {
-	var req ScaleShardRequest
-	if err := decodeShard(rw, r, &req, func() int { return req.V }); err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	k, err := workload.ByName(req.Kernel)
+// prepareExplore checks an explore shard's kernels and every listed point.
+func prepareExplore(j exploreJob, pts []dse.Point) (func(context.Context, dse.Point) (dse.Eval, error), error) {
+	kernels, err := resolveKernels(j.Kernels)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
-	mode, err := parseMode(req.Mode)
+	for i, p := range pts {
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("item %d: %w", i, err)
+		}
+	}
+	opts := powopt.Technique(j.Opts)
+	return func(ctx context.Context, p dse.Point) (dse.Eval, error) {
+		return dse.EvaluatePointContext(ctx, p, kernels, j.BudgetW, opts)
+	}, nil
+}
+
+// prepareScale checks a scale shard's job and node counts against the same
+// limits /v1/scale applies.
+func prepareScale(j scaleJob, sizes []int) (func(context.Context, int) (ScaleEval, error), error) {
+	k, err := workload.ByName(j.Kernel)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
-	mask, err := faults.ParseMask(req.Mask)
+	kind, err := ParseTopology(j.Topology)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
-	if req.Start < 0 || req.End > len(req.Sizes) || req.Start >= req.End {
-		http.Error(rw, fmt.Sprintf("shard range [%d, %d) out of %d sizes", req.Start, req.End, len(req.Sizes)), http.StatusBadRequest)
-		return
+	mode, err := ParseMode(j.Mode)
+	if err != nil {
+		return nil, err
 	}
-	spec := fabric.LinkSpec{BandwidthGBps: req.LinkGBps, LatencyNs: req.LatencyNs, Ideal: req.Ideal}
+	mask, err := ParseScaleMask(j.Mask)
+	if err != nil {
+		return nil, err
+	}
+	if j.LinkGBps < 0 || j.LatencyNs < 0 {
+		return nil, fmt.Errorf("negative link parameters (%v GB/s, %v ns)", j.LinkGBps, j.LatencyNs)
+	}
+	if err := CheckScaleSizes(sizes, !mask.Empty()); err != nil {
+		return nil, err
+	}
+	spec := fabric.LinkSpec{BandwidthGBps: j.LinkGBps, LatencyNs: j.LatencyNs, Ideal: j.Ideal}
 	// The node rate is derived locally: it is a deterministic function of the
 	// kernel (sustained TFLOP/s on the best-mean EHP), identical on every
 	// replica of the same build.
 	rate := exp.NodeRateFor(k)
-	wk.shardsCtr.Inc()
-	st := newStreamer(rw)
-	n := req.End - req.Start
-	err = parallelRange(r.Context(), n, func(ctx context.Context, i int) error {
-		idx := req.Start + i
-		chaosSleep(ctx, wk.delay)
-		se, err := EvalScale(req.Topology, spec, k, rate, req.Sizes[idx], mode, mask, req.Seed)
-		if err != nil {
-			return err
-		}
-		wk.itemsCtr.Inc()
-		return st.send(shardLine{Type: "scale", Index: idx, Scale: &se})
-	})
-	if err != nil {
-		wk.errsCtr.Inc()
-		st.send(shardLine{Type: "error", Error: err.Error()})
-		return
-	}
-	st.send(shardLine{Type: "done", Count: n})
+	return func(_ context.Context, size int) (ScaleEval, error) {
+		return EvalScale(kind, spec, k, rate, size, mode, mask, j.Seed)
+	}, nil
 }
 
-// parallelRange runs fn(ctx, i) for i in [0, n) on a bounded pool, stopping
-// at the first error or context cancellation.
-func parallelRange(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+// ParallelRange runs fn(ctx, i) for i in [0, n) on a GOMAXPROCS-bounded
+// pool, stopping at the first error or context cancellation. It is the one
+// pool every sweep item runs on: worker shards, the coordinator's local
+// fallback, and the service's local scale path.
+func ParallelRange(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n

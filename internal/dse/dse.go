@@ -27,21 +27,22 @@ import (
 // Point is one design point. The packaging axes (GPUChiplets, HBMStackGB,
 // ExtModules) are optional: a zero value means the paper default (8 chiplets,
 // 32 GB stacks, 4 modules per external chain), and a point with all three at
-// zero is a classic grid point — its config, label, cache key and wire
-// encoding are unchanged from the pre-expansion scheme, so golden results,
-// checkpoints and cached sweeps never alias across the expansion.
+// zero is a classic grid point — its config, label and cache key are
+// unchanged from the pre-expansion scheme, so golden results and cached
+// sweeps never alias across the expansion. The JSON form (the shard wire and
+// checkpoints) uses short keys and omits packaging fields left at zero.
 type Point struct {
-	CUs     int
-	FreqMHz float64
-	BWTBps  float64
+	CUs     int     `json:"cus"`
+	FreqMHz float64 `json:"freq_mhz"`
+	BWTBps  float64 `json:"bw_tbps"`
 	// GPUChiplets is the GPU chiplet count (one HBM stack per chiplet);
 	// 0 means the default 8.
-	GPUChiplets int
+	GPUChiplets int `json:"gpu_chiplets,omitempty"`
 	// HBMStackGB is the per-stack HBM capacity; 0 means the default 32.
-	HBMStackGB float64
+	HBMStackGB float64 `json:"hbm_stack_gb,omitempty"`
 	// ExtModules is the external-chain depth (modules per chain);
 	// 0 means the default 4.
-	ExtModules int
+	ExtModules int `json:"ext_modules,omitempty"`
 }
 
 // expanded reports whether any packaging axis deviates from the zero
@@ -131,7 +132,8 @@ func (s Space) Points() []Point {
 	return out
 }
 
-// Size is the number of points Points enumerates.
+// Size is the number of points Points enumerates. It multiplies the axis
+// lengths unchecked; Validate bounds the product by MaxSpacePoints.
 func (s Space) Size() int {
 	gcs, hbs, ems := s.packagingAxes()
 	return len(gcs) * len(hbs) * len(ems) * len(s.CUs) * len(s.FreqsMHz) * len(s.BWsTBps)

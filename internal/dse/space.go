@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"ena/internal/arch"
 )
 
 // Axis spec keys, in canonical emission order. The three classic axes are
@@ -19,13 +21,21 @@ const (
 	axisExtMod   = "extmod"
 )
 
+// MaxSpacePoints bounds a grid's point count. It is about ten times the
+// 13,230-point packaging space, and keeps one exhaustive sweep's points and
+// evaluations in the tens of MiB: an unchecked product of six axis lengths
+// could ask a replica for more memory than it has, or overflow int.
+const MaxSpacePoints = 1 << 17
+
 // Validate checks the space is a well-formed grid: the three classic axes
 // must be non-empty, and every axis present must hold strictly positive,
 // finite, duplicate-free values. A duplicated axis value would silently
 // enumerate the same design point twice, double-counting it in the MeanScore
 // normalization; empty or non-positive axes produce degenerate or invalid
 // configurations. The packaging axes may be empty (meaning the single paper
-// default).
+// default). GPU chiplet counts are at most arch.MaxCUsPerNode (a larger
+// count always leaves a chiplet with no CUs), external-chain depths at most
+// arch.MaxModulesPerChain, and the grid at most MaxSpacePoints points.
 func (s Space) Validate() error {
 	if err := validateIntAxis(axisCUs, s.CUs, true); err != nil {
 		return err
@@ -42,7 +52,70 @@ func (s Space) Validate() error {
 	if err := validateFloatAxis(axisHBM, s.HBMStackGBs, false); err != nil {
 		return err
 	}
-	return validateIntAxis(axisExtMod, s.ExtModules, false)
+	if err := validateIntAxis(axisExtMod, s.ExtModules, false); err != nil {
+		return err
+	}
+	gcs, hbs, ems := s.packagingAxes()
+	n := 1
+	for _, l := range []int{len(gcs), len(hbs), len(ems), len(s.CUs), len(s.FreqsMHz), len(s.BWsTBps)} {
+		if l > MaxSpacePoints/n {
+			return fmt.Errorf("dse: space has more than %d points", MaxSpacePoints)
+		}
+		n *= l
+	}
+	return nil
+}
+
+// Validate applies the space axis rules to one point, as a worker receiving
+// a listed point must: positive, finite classic fields, and packaging fields
+// that are either zero (the paper default) or valid axis values.
+func (p Point) Validate() error {
+	if err := checkInt(axisCUs, p.CUs); err != nil {
+		return err
+	}
+	if err := checkFloat(axisFreq, p.FreqMHz); err != nil {
+		return err
+	}
+	if err := checkFloat(axisBW, p.BWTBps); err != nil {
+		return err
+	}
+	if p.GPUChiplets != 0 {
+		if err := checkInt(axisChiplets, p.GPUChiplets); err != nil {
+			return err
+		}
+	}
+	if p.HBMStackGB != 0 {
+		if err := checkFloat(axisHBM, p.HBMStackGB); err != nil {
+			return err
+		}
+	}
+	if p.ExtModules != 0 {
+		return checkInt(axisExtMod, p.ExtModules)
+	}
+	return nil
+}
+
+// intAxisMax holds the integer axes' upper bounds; the others are unbounded.
+var intAxisMax = map[string]int{
+	axisChiplets: arch.MaxCUsPerNode,
+	axisExtMod:   arch.MaxModulesPerChain,
+}
+
+func checkInt(name string, v int) error {
+	if v <= 0 {
+		return fmt.Errorf("dse: space axis %q has non-positive value %d", name, v)
+	}
+	if max, ok := intAxisMax[name]; ok && v > max {
+		return fmt.Errorf("dse: space axis %q value %d exceeds the limit of %d", name, v, max)
+	}
+	return nil
+}
+
+func checkFloat(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("dse: space axis %q has non-positive or non-finite value %v", name, v)
+	}
+	return nil
 }
 
 func validateIntAxis(name string, vals []int, required bool) error {
@@ -54,8 +127,8 @@ func validateIntAxis(name string, vals []int, required bool) error {
 	}
 	seen := make(map[int]bool, len(vals))
 	for _, v := range vals {
-		if v <= 0 {
-			return fmt.Errorf("dse: space axis %q has non-positive value %d", name, v)
+		if err := checkInt(name, v); err != nil {
+			return err
 		}
 		if seen[v] {
 			return fmt.Errorf("dse: space axis %q has duplicate value %d", name, v)
@@ -74,8 +147,8 @@ func validateFloatAxis(name string, vals []float64, required bool) error {
 	}
 	seen := make(map[float64]bool, len(vals))
 	for _, v := range vals {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return fmt.Errorf("dse: space axis %q has non-positive or non-finite value %v", name, v)
+		if err := checkFloat(name, v); err != nil {
+			return err
 		}
 		if seen[v] {
 			return fmt.Errorf("dse: space axis %q has duplicate value %v", name, v)

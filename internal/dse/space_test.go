@@ -40,6 +40,14 @@ func TestSpaceValidate(t *testing.T) {
 		{"inf freq", func(s *Space) { s.FreqsMHz = []float64{math.Inf(1)} }, "non-finite"},
 		{"dup chiplets", func(s *Space) { s.GPUChiplets = []int{8, 8} }, "duplicate"},
 		{"zero extmod", func(s *Space) { s.ExtModules = []int{0} }, "non-positive"},
+		{"huge chiplets", func(s *Space) { s.GPUChiplets = []int{8, arch.MaxCUsPerNode + 1} }, "exceeds the limit of 384"},
+		{"huge extmod", func(s *Space) { s.ExtModules = []int{1 << 50} }, "exceeds the limit of 16"},
+		{"too many points", func(s *Space) { s.HBMStackGBs = seq(MaxSpacePoints/s.Size() + 1) }, "more than 131072 points"},
+		// Axes whose length product is 2^64 must not wrap round to a
+		// count that passes (Size() would return 0 here).
+		{"overflowing product", func(s *Space) {
+			s.CUs, s.FreqsMHz, s.BWsTBps, s.HBMStackGBs = ints(1<<16), seq(1<<16), seq(1<<16), seq(1<<16)
+		}, "more than 131072 points"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,6 +58,69 @@ func TestSpaceValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// seq and ints are axes 1, 2, ..., n.
+func seq(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(i + 1)
+	}
+	return out
+}
+
+func ints(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
+}
+
+// TestSpaceValidateAcceptsLargestSpaces: the bounds leave the largest
+// spaces in use valid — the 13,230-point packaging space and a full-bound
+// grid of exactly MaxSpacePoints points.
+func TestSpaceValidateAcceptsLargestSpaces(t *testing.T) {
+	pkg := DefaultSpace()
+	pkg.GPUChiplets, pkg.HBMStackGBs, pkg.ExtModules = []int{2, 4, 8}, []float64{8, 16, 32}, []int{2, 3, 4}
+	full := Space{CUs: ints(1 << 7), FreqsMHz: seq(1 << 5), BWsTBps: seq(1 << 5), ExtModules: []int{arch.MaxModulesPerChain}, GPUChiplets: []int{arch.MaxCUsPerNode}}
+	for _, s := range []Space{pkg, full} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%d-point space: %v", s.Size(), err)
+		}
+	}
+	if full.Size() != MaxSpacePoints {
+		t.Fatalf("full space has %d points, want %d", full.Size(), MaxSpacePoints)
+	}
+}
+
+// TestPointValidate: a listed point obeys the axis rules of the space it
+// could have come from, with zero packaging fields meaning the defaults.
+func TestPointValidate(t *testing.T) {
+	for _, p := range []Point{
+		{CUs: 320, FreqMHz: 1000, BWTBps: 3},
+		{CUs: 256, FreqMHz: 800, BWTBps: 1, GPUChiplets: arch.MaxCUsPerNode, HBMStackGB: 16, ExtModules: arch.MaxModulesPerChain},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v: %v", p, err)
+		}
+	}
+	for _, tc := range []struct {
+		p    Point
+		want string
+	}{
+		{Point{CUs: 0, FreqMHz: 1000, BWTBps: 3}, `"cus" has non-positive`},
+		{Point{CUs: 320, FreqMHz: math.NaN(), BWTBps: 3}, `"freq" has non-positive or non-finite`},
+		{Point{CUs: 320, FreqMHz: 1000, BWTBps: math.Inf(1)}, `"bw" has non-positive or non-finite`},
+		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 3, GPUChiplets: -1}, `"chiplets" has non-positive`},
+		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 3, GPUChiplets: 1 << 50}, `"chiplets" value 1125899906842624 exceeds`},
+		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 3, HBMStackGB: -16}, `"hbm" has non-positive`},
+		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 3, ExtModules: 1 << 50}, `"extmod" value 1125899906842624 exceeds`},
+	} {
+		if err := tc.p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Validate() = %v, want %q", tc.p, err, tc.want)
+		}
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // describe the same simulation — regardless of field order, defaults spelled
 // out or omitted, or optimization-list ordering — share one cache slot.
 //
-// Do guarantees at most one execution per key at a time: concurrent callers
-// with the same key block on the first caller's in-flight execution and all
-// receive its result (the "coalesced" counter tracks how many executions
-// singleflight saved). Errors are never cached — a failed execution leaves
-// the slot empty so the next caller retries.
+// DoPersist guarantees at most one execution per key at a time: concurrent
+// callers with the same key block on the first caller's in-flight execution
+// and all receive its result (the "coalesced" counter tracks how many
+// executions singleflight saved). Errors are never cached — a failed
+// execution leaves the slot empty so the next caller retries.
 type Cache struct {
 	// chaos, when set, randomly treats hits as corrupted: the entry is
 	// evicted and recomputed (read repair), exercising the miss path under
@@ -31,7 +31,7 @@ type Cache struct {
 	// store, when set, layers a persistent blob store under the memory
 	// cache: DoPersist reads through to it on memory misses and writes
 	// computed results back, so results survive restarts and are shared by
-	// replicas on the same directory. Nil disables (Do-equivalent behavior).
+	// replicas on the same directory. Nil keeps the cache memory-only.
 	store *store.Store
 
 	mu       sync.Mutex
@@ -116,7 +116,8 @@ func (c *Cache) Len() int {
 }
 
 // Get returns the cached value for key, marking it recently used. It does
-// not consult in-flight executions; use Do for read-through semantics.
+// not consult in-flight executions; use DoPersist for read-through
+// semantics.
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,16 +129,25 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// Do returns the cached value for key, or executes fn exactly once across
-// all concurrent callers of the same key and caches its result. The second
-// return reports whether the caller was served without executing fn itself
-// (a cache hit or a coalesced in-flight share).
+// DoPersist returns the cached value for key, or executes fn exactly once
+// across all concurrent callers of the same key and caches its result. The
+// second return reports whether the caller was served without executing fn
+// itself: a memory hit, a coalesced in-flight share, or a store read.
+//
+// With a persistent store set, a memory miss first consults the store
+// (decode maps the stored JSON back to the value type the call site caches),
+// and a fresh execution writes its result through. A store serve counts as
+// shared — the caller got a result computed elsewhere (an earlier process,
+// or another replica on the same directory). A blob that no longer decodes
+// (an older build's shape) is recomputed and overwritten, never an error.
+// Without a store, decode is never called and nothing is marshalled.
 //
 // ctx only governs waiting: a caller whose context ends while blocked on
 // another caller's execution gets ctx.Err(). The execution itself runs under
 // whatever context fn captured — cancelling a waiting follower never aborts
-// the shared execution.
-func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any, bool, error) {
+// the shared execution. Singleflight spans the whole read path, so
+// concurrent callers share one store read just as they share one execution.
+func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (any, error), fn func() (any, error)) (any, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		if c.chaos.CorruptCache() {
@@ -166,68 +176,20 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
-	c.misses.Inc()
-	c.mu.Unlock()
-
-	f.val, f.err = fn()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		c.storeLocked(key, f.val)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.val, false, f.err
-}
-
-// DoPersist is Do with the persistent store layered underneath: a memory
-// miss first consults the store (decode maps the stored JSON back to the
-// value type the call site caches), and a fresh execution writes its result
-// through. Store serves count as shared — the caller got a result computed
-// elsewhere (an earlier process, or another replica on the same directory).
-// A blob that no longer decodes (an older build's shape) is recomputed and
-// overwritten, never an error. Singleflight spans the whole read path, so
-// concurrent callers share one store read just as they share one execution.
-func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (any, error), fn func() (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		if c.chaos.CorruptCache() {
-			c.lru.Remove(el)
-			delete(c.entries, key)
-			c.size.Set(float64(c.lru.Len()))
-		} else {
-			c.lru.MoveToFront(el)
-			v := el.Value.(*entry).val
-			c.hits.Inc()
-			c.mu.Unlock()
-			return v, true, nil
-		}
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.coalesced.Inc()
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.val, true, f.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
 	c.mu.Unlock()
 
 	fromStore := false
-	if b, ok := c.store.Get(key); ok {
-		if v, err := decode(b); err == nil {
-			f.val, fromStore = v, true
+	if c.store != nil {
+		if b, ok := c.store.Get(key); ok {
+			if v, err := decode(b); err == nil {
+				f.val, fromStore = v, true
+			}
 		}
 	}
 	if !fromStore {
 		c.misses.Inc()
 		f.val, f.err = fn()
-		if f.err == nil {
+		if f.err == nil && c.store != nil {
 			if b, err := json.Marshal(f.val); err == nil {
 				_ = c.store.Put(key, b) // best-effort; the store counts write errors
 			}

@@ -25,13 +25,13 @@ func TestCacheEvictionRacesInflightFill(t *testing.T) {
 				for k := 0; k < keys; k++ {
 					key := fmt.Sprintf("k%d", k)
 					want := "v:" + key
-					v, _, err := c.Do(ctx, key, func() (any, error) { return want, nil })
+					v, _, err := c.DoPersist(ctx, key, nil, func() (any, error) { return want, nil })
 					if err != nil {
-						t.Errorf("Do(%s): %v", key, err)
+						t.Errorf("DoPersist(%s): %v", key, err)
 						return
 					}
 					if v.(string) != want {
-						t.Errorf("Do(%s) = %v, want %v", key, v, want)
+						t.Errorf("DoPersist(%s) = %v, want %v", key, v, want)
 						return
 					}
 				}
@@ -58,13 +58,13 @@ func TestCacheInflightSurvivesEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, _, err := c.Do(ctx, "A", func() (any, error) {
+		v, _, err := c.DoPersist(ctx, "A", nil, func() (any, error) {
 			close(enter)
 			<-release
 			return "vA", nil
 		})
 		if err != nil || v.(string) != "vA" {
-			t.Errorf("leader Do(A) = %v, %v", v, err)
+			t.Errorf("leader DoPersist(A) = %v, %v", v, err)
 		}
 	}()
 	<-enter
@@ -72,7 +72,7 @@ func TestCacheInflightSurvivesEviction(t *testing.T) {
 	// While A is in flight, churn the cache past capacity repeatedly.
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("churn%d", i)
-		if _, _, err := c.Do(ctx, key, func() (any, error) { return key, nil }); err != nil {
+		if _, _, err := c.DoPersist(ctx, key, nil, func() (any, error) { return key, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,12 +82,12 @@ func TestCacheInflightSurvivesEviction(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := c.Do(ctx, "A", func() (any, error) {
+			v, shared, err := c.DoPersist(ctx, "A", nil, func() (any, error) {
 				t.Error("follower executed: singleflight lost the in-flight entry")
 				return nil, nil
 			})
 			if err != nil || v.(string) != "vA" || !shared {
-				t.Errorf("follower Do(A) = %v, shared=%v, err=%v", v, shared, err)
+				t.Errorf("follower DoPersist(A) = %v, shared=%v, err=%v", v, shared, err)
 			}
 		}()
 	}

@@ -20,13 +20,13 @@ func TestCacheHitMiss(t *testing.T) {
 	var execs int
 	fn := func() (any, error) { execs++; return 42, nil }
 
-	v, shared, err := c.Do(ctx, "k1", fn)
+	v, shared, err := c.DoPersist(ctx, "k1", nil, fn)
 	if err != nil || v != 42 || shared {
-		t.Fatalf("first Do = (%v, %v, %v), want (42, false, nil)", v, shared, err)
+		t.Fatalf("first DoPersist = (%v, %v, %v), want (42, false, nil)", v, shared, err)
 	}
-	v, shared, err = c.Do(ctx, "k1", fn)
+	v, shared, err = c.DoPersist(ctx, "k1", nil, fn)
 	if err != nil || v != 42 || !shared {
-		t.Fatalf("second Do = (%v, %v, %v), want (42, true, nil)", v, shared, err)
+		t.Fatalf("second DoPersist = (%v, %v, %v), want (42, true, nil)", v, shared, err)
 	}
 	if execs != 1 {
 		t.Errorf("fn executed %d times, want 1", execs)
@@ -44,13 +44,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	mk := func(i int) func() (any, error) { return func() (any, error) { return i, nil } }
 
-	c.Do(ctx, "a", mk(1))
-	c.Do(ctx, "b", mk(2))
+	c.DoPersist(ctx, "a", nil, mk(1))
+	c.DoPersist(ctx, "b", nil, mk(2))
 	// Touch "a" so "b" is the LRU victim.
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	c.Do(ctx, "c", mk(3))
+	c.DoPersist(ctx, "c", nil, mk(3))
 
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction; LRU order not respected")
@@ -76,10 +76,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	calls := 0
 	fail := func() (any, error) { calls++; return nil, boom }
 
-	if _, _, err := c.Do(ctx, "k", fail); !errors.Is(err, boom) {
+	if _, _, err := c.DoPersist(ctx, "k", nil, fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, _, err := c.Do(ctx, "k", fail); !errors.Is(err, boom) {
+	if _, _, err := c.DoPersist(ctx, "k", nil, fail); !errors.Is(err, boom) {
 		t.Fatalf("retry err = %v, want boom", err)
 	}
 	if calls != 2 {
@@ -111,7 +111,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := c.Do(ctx, "hot", fn)
+			v, shared, err := c.DoPersist(ctx, "hot", nil, fn)
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
@@ -150,7 +150,7 @@ func TestCacheWaiterCancellation(t *testing.T) {
 	c := NewCache(8, nil)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go c.Do(context.Background(), "slow", func() (any, error) {
+	go c.DoPersist(context.Background(), "slow", nil, func() (any, error) {
 		close(started)
 		<-gate
 		return 1, nil
@@ -160,7 +160,7 @@ func TestCacheWaiterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(ctx, "slow", func() (any, error) { return 2, nil })
+		_, _, err := c.DoPersist(ctx, "slow", nil, func() (any, error) { return 2, nil })
 		done <- err
 	}()
 	time.Sleep(time.Millisecond)
@@ -189,12 +189,12 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", i%8)
-				v, _, err := c.Do(ctx, key, func() (any, error) {
+				v, _, err := c.DoPersist(ctx, key, nil, func() (any, error) {
 					execs.Add(1)
 					return key, nil
 				})
 				if err != nil || v.(string) != key {
-					t.Errorf("Do(%s) = (%v, %v)", key, v, err)
+					t.Errorf("DoPersist(%s) = (%v, %v)", key, v, err)
 					return
 				}
 			}
@@ -205,5 +205,27 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 	// times (only races before first store), nowhere near the 3200 calls.
 	if n := execs.Load(); n > 64 {
 		t.Errorf("executions = %d; dedup ineffective", n)
+	}
+}
+
+// marshalCounter counts how often it is encoded to JSON.
+type marshalCounter struct{ n *atomic.Int32 }
+
+func (m marshalCounter) MarshalJSON() ([]byte, error) {
+	m.n.Add(1)
+	return []byte("0"), nil
+}
+
+// A miss with no persistent store set must not marshal the computed result:
+// there is nowhere to write it.
+func TestCacheMissWithoutStoreSkipsMarshal(t *testing.T) {
+	c := NewCache(8, obs.NewRegistry())
+	var n atomic.Int32
+	v, shared, err := c.DoPersist(context.Background(), "k", nil, func() (any, error) { return marshalCounter{&n}, nil })
+	if err != nil || shared {
+		t.Fatalf("DoPersist = (%v, %v, %v)", v, shared, err)
+	}
+	if got := n.Load(); got != 0 {
+		t.Fatalf("result marshalled %d times without a store", got)
 	}
 }

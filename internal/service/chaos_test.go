@@ -142,7 +142,7 @@ func TestChaosCacheCorruptionRecomputes(t *testing.T) {
 	execs := 0
 	fn := func() (any, error) { execs++; return execs, nil }
 	for i := 1; i <= 3; i++ {
-		v, _, err := c.Do(context.Background(), "k", fn)
+		v, _, err := c.DoPersist(context.Background(), "k", nil, fn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ena/internal/cluster"
@@ -29,17 +26,6 @@ import (
 //
 // Scale jobs ride the same scheduler (async 202 + job id), result cache
 // (canonical-JSON key) and per-route circuit breaker as /v1/explore.
-
-// scaleMaxSizes bounds how many node counts one request may sweep;
-// scaleMaxNodes bounds each count (the §V-F machine is 100k nodes).
-const (
-	scaleMaxSizes = 16
-	scaleMaxNodes = 1 << 20
-	// scaleMaxDegradedNodes bounds fault-mask analysis: degraded routing
-	// falls back to per-pair BFS around the victims, which is priced for
-	// rack scale, not the full machine.
-	scaleMaxDegradedNodes = 4096
-)
 
 // ScaleRequest is the body of POST /v1/scale. Kernel is required; Topology
 // defaults to "torus", Nodes to the node -> rack -> machine walk
@@ -132,43 +118,17 @@ func (r ScaleRequest) resolve() (scaleJob, error) {
 	if err != nil {
 		return scaleJob{}, err
 	}
-	kind := strings.ToLower(strings.TrimSpace(r.Topology))
-	if kind == "" {
-		kind = "torus"
-	}
-	valid := false
-	for _, known := range fabric.Kinds() {
-		if kind == known {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		return scaleJob{}, fmt.Errorf("unknown topology %q (want %s)", r.Topology, strings.Join(fabric.Kinds(), ", "))
+	kind, err := cluster.ParseTopology(r.Topology)
+	if err != nil {
+		return scaleJob{}, err
 	}
 	sizes := []int{1, 50, 1000, 20000, 100000}
 	if len(r.Nodes) > 0 {
 		sizes = sortedUniqueInts(r.Nodes)
 	}
-	if len(sizes) > scaleMaxSizes {
-		return scaleJob{}, fmt.Errorf("%d node counts exceed the per-request limit of %d", len(sizes), scaleMaxSizes)
-	}
-	for _, p := range sizes {
-		if p < 1 {
-			return scaleJob{}, fmt.Errorf("non-positive node count %d", p)
-		}
-		if p > scaleMaxNodes {
-			return scaleJob{}, fmt.Errorf("node count %d exceeds the limit of %d", p, scaleMaxNodes)
-		}
-	}
-	var mode fabric.Mode
-	switch strings.ToLower(strings.TrimSpace(r.Mode)) {
-	case "", "weak":
-		mode = fabric.Weak
-	case "strong":
-		mode = fabric.Strong
-	default:
-		return scaleJob{}, fmt.Errorf("unknown mode %q (want strong or weak)", r.Mode)
+	mode, err := cluster.ParseMode(r.Mode)
+	if err != nil {
+		return scaleJob{}, err
 	}
 	if r.LinkGBps < 0 || r.LatencyNs < 0 {
 		return scaleJob{}, fmt.Errorf("negative link parameters (%v GB/s, %v ns)", r.LinkGBps, r.LatencyNs)
@@ -183,23 +143,16 @@ func (r ScaleRequest) resolve() (scaleJob, error) {
 	if r.Ideal {
 		spec = fabric.IdealLinkSpec()
 	}
-	mask, err := faults.ParseMask(r.FaultMask)
+	mask, err := cluster.ParseScaleMask(r.FaultMask)
 	if err != nil {
+		return scaleJob{}, err
+	}
+	if err := cluster.CheckScaleSizes(sizes, !mask.Empty()); err != nil {
 		return scaleJob{}, err
 	}
 	var maskStr string
 	if !mask.Empty() {
-		node, local := mask.SplitNode()
-		if !local.Empty() {
-			return scaleJob{}, fmt.Errorf("fault mask %q has non-node terms %q: the fabric only kills whole nodes (use /v1/simulate for intra-node faults)", r.FaultMask, local.String())
-		}
-		mask = node
 		maskStr = mask.String()
-		for _, p := range sizes {
-			if p > scaleMaxDegradedNodes {
-				return scaleJob{}, fmt.Errorf("fault-mask analysis is limited to %d nodes per topology (requested %d)", scaleMaxDegradedNodes, p)
-			}
-		}
 	}
 	if r.TimeoutSec < 0 {
 		return scaleJob{}, fmt.Errorf("negative timeout_sec %v", r.TimeoutSec)
@@ -327,7 +280,7 @@ func (s *Server) scaleEvals(ctx context.Context, sj scaleJob, rate float64) ([]c
 		return s.coord.Scale(ctx, sj.kind, sj.spec, sj.kernel, rate, sj.sizes, sj.mode, sj.mask, sj.maskStr, sj.seed, sj.key)
 	}
 	evals := make([]cluster.ScaleEval, len(sj.sizes))
-	err := parallelSizes(ctx, len(sj.sizes), func(i int) error {
+	err := cluster.ParallelRange(ctx, len(sj.sizes), func(_ context.Context, i int) error {
 		se, err := cluster.EvalScale(sj.kind, sj.spec, sj.kernel, rate, sj.sizes[i], sj.mode, sj.mask, sj.seed)
 		if err != nil {
 			return err
@@ -339,39 +292,4 @@ func (s *Server) scaleEvals(ctx context.Context, sj scaleJob, rate float64) ([]c
 		return nil, err
 	}
 	return evals, nil
-}
-
-// parallelSizes runs fn(i) for i in [0, n) on up to GOMAXPROCS goroutines,
-// stopping at the first error or context end.
-func parallelSizes(ctx context.Context, n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var (
-		next  atomic.Int64
-		first atomic.Value
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || first.Load() != nil || ctx.Err() != nil {
-					return
-				}
-				if err := fn(i); err != nil {
-					first.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err, _ := first.Load().(error); err != nil {
-		return err
-	}
-	return ctx.Err()
 }

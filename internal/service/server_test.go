@@ -575,6 +575,40 @@ func TestServerDrainRejectsNewJobs(t *testing.T) {
 	}
 }
 
+// TestMalformedSweepBodiesRejected pins the boundary fixes: sweep bodies
+// that once crashed the whole process (a 2^50-module external chain panicked
+// in a dse pool goroutine; a 2^40-node scale shard ran it out of memory) get
+// a 400 from the in-process handler, and the replica keeps answering.
+func TestMalformedSweepBodiesRejected(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	job := `"job":{"kernels":["CoMD"],"budget_w":160,"opts":0},"start":0`
+	hbms := make([]string, 300) // 300 x the 490-point default grid
+	for i := range hbms {
+		hbms[i] = strconv.Itoa(i + 1)
+	}
+	for _, tc := range []struct{ name, path, body, want string }{
+		{"explore ext modules", "/v1/explore", `{"ext_modules":[1125899906842624]}`, "exceeds the limit"},
+		{"explore chiplets", "/v1/explore", `{"gpu_chiplets":[1125899906842624]}`, "exceeds the limit"},
+		{"explore too many points", "/v1/explore", `{"hbm_stack_gbs":[` + strings.Join(hbms, ",") + `]}`, "more than 131072 points"},
+		{"shard ext modules", "/v1/internal/shard/explore",
+			`{"v":3,` + job + `,"items":[{"cus":320,"freq_mhz":1000,"bw_tbps":3,"ext_modules":1125899906842624}]}`, "exceeds the limit"},
+		{"shard scale size", "/v1/internal/shard/scale",
+			`{"v":3,"job":{"kernel":"CoMD","topology":"torus","mode":"weak"},"start":0,"items":[1099511627776]}`, "exceeds the limit"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: %d %q, want 400 naming %q", tc.name, rec.Code, rec.Body, tc.want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("healthz after the malformed bodies = %d", rec.Code)
+	}
+}
+
 // Queue saturation sheds load with 503 + Retry-After so clients know when
 // to come back.
 func TestExploreQueueFull(t *testing.T) {
