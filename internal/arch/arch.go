@@ -31,6 +31,34 @@ const (
 	// 384 CUs per node, i.e. up to 48 CUs per GPU chiplet).
 	MaxCUsPerNode = 384
 
+	// MaxGPUFreqMHz bounds the GPU clock a design point or request may ask
+	// for. The V-f line (power.VoltageAt) is calibrated over 0.7-1.5 GHz
+	// and reaches 1.75 V at 4 GHz, past any supply the process could
+	// sustain, so no clock above it is a design point. CU dynamic power
+	// grows with V²f: without a finite bound a clock like 1e300 MHz
+	// evaluates to +Inf watts, which no JSON response can carry.
+	MaxGPUFreqMHz = 4000
+
+	// MinGPUFreqMHz is the slowest GPU clock a design point or request may
+	// ask for. Below it a node's throughput underflows toward zero, and
+	// with it the serving scenario's batch service times go to +Inf.
+	MinGPUFreqMHz = 1
+
+	// MaxInPackageBWTBps bounds the aggregate in-package DRAM bandwidth a
+	// design point or request may ask for: 8 TB/s per stack on eight
+	// stacks, over 20x the 3 TB/s design and 8x the largest value any
+	// experiment sweeps. HBM static and traffic power grow linearly with
+	// it, so, as with the clock, only a finite bound keeps every watt
+	// figure finite.
+	MaxInPackageBWTBps = 64
+
+	// MinInPackageBWTBps is the smallest aggregate in-package bandwidth a
+	// design point or request may ask for: 1 GB/s, three orders of
+	// magnitude below any 3D DRAM stack. The detailed memory model serves
+	// each access in time inversely proportional to it, so a value like
+	// 1e-300 TB/s sums access latencies to +Inf.
+	MinInPackageBWTBps = 1e-3
+
 	// ProvisionedCUs is the CU count of the physically built EHP (eight
 	// chiplets of 40 CUs). The static machine configuration — and hence
 	// the best-mean selection of §V — is bounded by it; only the §VI

@@ -35,8 +35,22 @@ const MaxSpacePoints = 1 << 17
 // configurations. The packaging axes may be empty (meaning the single paper
 // default). GPU chiplet counts are at most arch.MaxCUsPerNode (a larger
 // count always leaves a chiplet with no CUs), external-chain depths at most
-// arch.MaxModulesPerChain, and the grid at most MaxSpacePoints points.
+// arch.MaxModulesPerChain, frequencies and bandwidths within their arch
+// bounds (arch.MinGPUFreqMHz..MaxGPUFreqMHz and
+// arch.MinInPackageBWTBps..MaxInPackageBWTBps), and the grid at most
+// MaxSpacePoints points.
 func (s Space) Validate() error {
+	// The point count first: it reads only the axis lengths, so a huge axis
+	// is rejected before its values are scanned. An empty axis is counted
+	// as one value here and rejected below.
+	gcs, hbs, ems := s.packagingAxes()
+	n := 1
+	for _, l := range []int{len(gcs), len(hbs), len(ems), len(s.CUs), len(s.FreqsMHz), len(s.BWsTBps)} {
+		if l > MaxSpacePoints/n {
+			return fmt.Errorf("dse: space has more than %d points", MaxSpacePoints)
+		}
+		n *= max(l, 1)
+	}
 	if err := validateIntAxis(axisCUs, s.CUs, true); err != nil {
 		return err
 	}
@@ -55,20 +69,13 @@ func (s Space) Validate() error {
 	if err := validateIntAxis(axisExtMod, s.ExtModules, false); err != nil {
 		return err
 	}
-	gcs, hbs, ems := s.packagingAxes()
-	n := 1
-	for _, l := range []int{len(gcs), len(hbs), len(ems), len(s.CUs), len(s.FreqsMHz), len(s.BWsTBps)} {
-		if l > MaxSpacePoints/n {
-			return fmt.Errorf("dse: space has more than %d points", MaxSpacePoints)
-		}
-		n *= l
-	}
 	return nil
 }
 
 // Validate applies the space axis rules to one point, as a worker receiving
-// a listed point must: positive, finite classic fields, and packaging fields
-// that are either zero (the paper default) or valid axis values.
+// a listed point must: positive, finite, bounded classic fields, and
+// packaging fields that are either zero (the paper default) or valid axis
+// values.
 func (p Point) Validate() error {
 	if err := checkInt(axisCUs, p.CUs); err != nil {
 		return err
@@ -95,11 +102,19 @@ func (p Point) Validate() error {
 	return nil
 }
 
-// intAxisMax holds the integer axes' upper bounds; the others are unbounded.
-var intAxisMax = map[string]int{
-	axisChiplets: arch.MaxCUsPerNode,
-	axisExtMod:   arch.MaxModulesPerChain,
-}
+// intAxisMax holds the integer axes' upper bounds and floatAxisRange the
+// float axes' bounds beyond positivity; the CU and HBM capacity axes are
+// unbounded (an out-of-budget point is infeasible, not unrepresentable).
+var (
+	intAxisMax = map[string]int{
+		axisChiplets: arch.MaxCUsPerNode,
+		axisExtMod:   arch.MaxModulesPerChain,
+	}
+	floatAxisRange = map[string]struct{ min, max float64 }{
+		axisFreq: {arch.MinGPUFreqMHz, arch.MaxGPUFreqMHz},
+		axisBW:   {arch.MinInPackageBWTBps, arch.MaxInPackageBWTBps},
+	}
+)
 
 func checkInt(name string, v int) error {
 	if v <= 0 {
@@ -114,6 +129,13 @@ func checkInt(name string, v int) error {
 func checkFloat(name string, v float64) error {
 	if !(v > 0) || math.IsInf(v, 0) {
 		return fmt.Errorf("dse: space axis %q has non-positive or non-finite value %v", name, v)
+	}
+	r, ok := floatAxisRange[name]
+	if ok && v < r.min {
+		return fmt.Errorf("dse: space axis %q value %v is below the limit of %v", name, v, r.min)
+	}
+	if ok && v > r.max {
+		return fmt.Errorf("dse: space axis %q value %v exceeds the limit of %v", name, v, r.max)
 	}
 	return nil
 }

@@ -42,6 +42,10 @@ func TestSpaceValidate(t *testing.T) {
 		{"zero extmod", func(s *Space) { s.ExtModules = []int{0} }, "non-positive"},
 		{"huge chiplets", func(s *Space) { s.GPUChiplets = []int{8, arch.MaxCUsPerNode + 1} }, "exceeds the limit of 384"},
 		{"huge extmod", func(s *Space) { s.ExtModules = []int{1 << 50} }, "exceeds the limit of 16"},
+		{"huge freq", func(s *Space) { s.FreqsMHz = []float64{1000, 1e300} }, `"freq" value 1e+300 exceeds the limit of 4000`},
+		{"tiny freq", func(s *Space) { s.FreqsMHz = []float64{1e-300} }, `"freq" value 1e-300 is below the limit of 1`},
+		{"huge bw", func(s *Space) { s.BWsTBps = []float64{arch.MaxInPackageBWTBps + 1} }, `"bw" value 65 exceeds the limit of 64`},
+		{"tiny bw", func(s *Space) { s.BWsTBps = []float64{1e-300, 3} }, `"bw" value 1e-300 is below the limit of 0.001`},
 		{"too many points", func(s *Space) { s.HBMStackGBs = seq(MaxSpacePoints/s.Size() + 1) }, "more than 131072 points"},
 		// Axes whose length product is 2^64 must not wrap round to a
 		// count that passes (Size() would return 0 here).
@@ -101,6 +105,8 @@ func TestPointValidate(t *testing.T) {
 	for _, p := range []Point{
 		{CUs: 320, FreqMHz: 1000, BWTBps: 3},
 		{CUs: 256, FreqMHz: 800, BWTBps: 1, GPUChiplets: arch.MaxCUsPerNode, HBMStackGB: 16, ExtModules: arch.MaxModulesPerChain},
+		{CUs: 320, FreqMHz: arch.MinGPUFreqMHz, BWTBps: arch.MinInPackageBWTBps},
+		{CUs: 320, FreqMHz: arch.MaxGPUFreqMHz, BWTBps: arch.MaxInPackageBWTBps},
 	} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%+v: %v", p, err)
@@ -113,6 +119,8 @@ func TestPointValidate(t *testing.T) {
 		{Point{CUs: 0, FreqMHz: 1000, BWTBps: 3}, `"cus" has non-positive`},
 		{Point{CUs: 320, FreqMHz: math.NaN(), BWTBps: 3}, `"freq" has non-positive or non-finite`},
 		{Point{CUs: 320, FreqMHz: 1000, BWTBps: math.Inf(1)}, `"bw" has non-positive or non-finite`},
+		{Point{CUs: 320, FreqMHz: 1e300, BWTBps: 3}, `"freq" value 1e+300 exceeds the limit of 4000`},
+		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 1e300}, `"bw" value 1e+300 exceeds the limit of 64`},
 		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 3, GPUChiplets: -1}, `"chiplets" has non-positive`},
 		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 3, GPUChiplets: 1 << 50}, `"chiplets" value 1125899906842624 exceeds`},
 		{Point{CUs: 320, FreqMHz: 1000, BWTBps: 3, HBMStackGB: -16}, `"hbm" has non-positive`},

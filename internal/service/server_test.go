@@ -127,6 +127,16 @@ func TestServerEndpoints(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantSubstr: "miss_frac",
 		},
 		{
+			name: "simulate freq beyond its bound", method: "POST", path: "/v1/simulate",
+			rawBody:    `{"cus":320,"freq_mhz":1e300,"bw_tbps":3,"kernel":"CoMD"}`,
+			wantStatus: http.StatusBadRequest, wantSubstr: "freq_mhz 1e+300 exceeds the limit of 4000",
+		},
+		{
+			name: "simulate bw beyond its bound", method: "POST", path: "/v1/simulate",
+			rawBody:    `{"cus":320,"freq_mhz":1000,"bw_tbps":65,"kernel":"CoMD"}`,
+			wantStatus: http.StatusBadRequest, wantSubstr: "bw_tbps 65 exceeds the limit of 64",
+		},
+		{
 			name: "simulate unknown field", method: "POST", path: "/v1/simulate",
 			rawBody:    `{"kernel":"CoMD","turbo":true}`,
 			wantStatus: http.StatusBadRequest, wantSubstr: "invalid request body",
@@ -150,6 +160,11 @@ func TestServerEndpoints(t *testing.T) {
 			name: "explore bad packaging axis", method: "POST", path: "/v1/explore",
 			body:       map[string]any{"gpu_chiplets": []int{0, 4}},
 			wantStatus: http.StatusBadRequest, wantSubstr: "has non-positive value 0",
+		},
+		{
+			name: "explore freq beyond its bound", method: "POST", path: "/v1/explore",
+			rawBody:    `{"freqs_mhz":[1000,1e300]}`,
+			wantStatus: http.StatusBadRequest, wantSubstr: `axis \"freq\" value 1e+300 exceeds the limit of 4000`,
 		},
 		{
 			name: "explore unknown explorer", method: "POST", path: "/v1/explore",

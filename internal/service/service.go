@@ -24,6 +24,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,6 +32,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -424,12 +426,26 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // maxBodyBytes bounds request bodies; simulation requests are tiny.
 const maxBodyBytes = 1 << 20
 
+// jsonBufs recycles writeJSON's encode buffers across responses.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before anything goes on the wire, so a value that
+// cannot be encoded (a non-finite float, say) becomes a 500 with an error
+// body — counted like any other — instead of a status line with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		enc.Encode(map[string]string{"error": "service: encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -134,6 +134,11 @@ const (
 	maxServingRequests     = 200000
 	defaultServingBatches  = "1,2,4,8,16"
 	maxServingBatch        = 256
+	// minServingQPS is the lowest offered rate a request may pin: one
+	// request per 1,000 s, far below any load worth simulating. Arrival
+	// gaps average 1e9/QPS ns, so a rate like 1e-300 would put the first
+	// arrival at +Inf.
+	minServingQPS = 1e-3
 )
 
 // simJob is a resolved, validated simulate request: everything the worker
@@ -256,6 +261,17 @@ func parseTechniques(names []string) (powopt.Technique, error) {
 	return t, nil
 }
 
+// checkAxis bounds a positive classic-axis value to [lo, hi].
+func checkAxis(name string, v, lo, hi float64) error {
+	if v > hi {
+		return fmt.Errorf("%s %v exceeds the limit of %v", name, v, hi)
+	}
+	if v > 0 && v < lo {
+		return fmt.Errorf("%s %v is below the limit of %v", name, v, lo)
+	}
+	return nil
+}
+
 // resolve validates the request, applies defaults, and derives the canonical
 // cache key. Errors are client errors (HTTP 400).
 func (r SimulateRequest) resolve() (simJob, error) {
@@ -267,6 +283,13 @@ func (r SimulateRequest) resolve() (simJob, error) {
 	}
 	if r.BWTBps == 0 {
 		r.BWTBps = 3
+	}
+	// Non-positive values are left to cfg.Validate's errors.
+	if err := checkAxis("freq_mhz", r.FreqMHz, arch.MinGPUFreqMHz, arch.MaxGPUFreqMHz); err != nil {
+		return simJob{}, err
+	}
+	if err := checkAxis("bw_tbps", r.BWTBps, arch.MinInPackageBWTBps, arch.MaxInPackageBWTBps); err != nil {
+		return simJob{}, err
 	}
 	if r.Kernel == "" {
 		return simJob{}, fmt.Errorf("kernel is required (one of %s, or a DL spec like gemm:M x N x K:dtype)", strings.Join(workload.Names(), ", "))
@@ -333,8 +356,8 @@ func (r SimulateRequest) resolve() (simJob, error) {
 		if dl == nil {
 			return simJob{}, fmt.Errorf("scenario serving needs a DL kernel spec (gemm:/conv:/attn:), got suite kernel %q", r.Kernel)
 		}
-		if r.QPS < 0 || math.IsNaN(r.QPS) || math.IsInf(r.QPS, 0) {
-			return simJob{}, fmt.Errorf("qps %v must be non-negative and finite", r.QPS)
+		if r.QPS != 0 && !(r.QPS >= minServingQPS) || math.IsInf(r.QPS, 0) {
+			return simJob{}, fmt.Errorf("qps %v must be non-negative and finite: zero (70%% of capacity) or at least %v", r.QPS, minServingQPS)
 		}
 		if r.Requests == 0 {
 			r.Requests = defaultServingRequests

@@ -65,6 +65,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("serving: Requests %d too large (max %d)", o.Requests, maxRequests)
 	case o.ServiceNs == nil:
 		return fmt.Errorf("serving: ServiceNs callback is required")
+	case float64(o.Requests)*1e9/o.QPS > math.MaxFloat64/4:
+		// Arrival timestamps sum Requests exponential gaps of mean 1e9/QPS
+		// ns; a horizon this close to overflow would reach +Inf.
+		return fmt.Errorf("serving: QPS %v too low for %d requests: the arrival times overflow", o.QPS, o.Requests)
 	}
 	for b := 1; b <= o.MaxBatch; b++ {
 		if s := o.ServiceNs(b); math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {

@@ -130,6 +130,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative qps", func(o *Options) { o.QPS = -1 }, "QPS must be positive"},
 		{"nan qps", func(o *Options) { o.QPS = math.NaN() }, "QPS must be positive"},
 		{"inf qps", func(o *Options) { o.QPS = math.Inf(1) }, "QPS must be positive"},
+		{"overflowing horizon", func(o *Options) { o.QPS = 1e-300 }, "arrival times overflow"},
 		{"zero batch", func(o *Options) { o.MaxBatch = 0 }, "MaxBatch must be at least 1"},
 		{"huge batch", func(o *Options) { o.MaxBatch = maxBatchLimit + 1 }, "too large"},
 		{"zero requests", func(o *Options) { o.Requests = 0 }, "Requests must be at least 1"},

@@ -188,7 +188,7 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 	bestGain := math.Inf(-1)
 	bestFp := -1
 	var bestThr float64
-	for _, fp := range b.featPerm()[:mtry] {
+	for _, fp := range permInto(b.rng, b.perm)[:mtry] {
 		col := b.cols[fp*b.n : (fp+1)*b.n]
 		list := b.lists[fp*b.n+lo : fp*b.n+hi]
 		var sl float64
@@ -241,12 +241,12 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 	return idx
 }
 
-// featPerm draws a permutation of the active features' positions into the
-// reused perm buffer, consuming the generator exactly as rand.Perm does.
-func (b *builder) featPerm() []int {
-	m := b.perm
+// permInto draws a permutation of [0, len(m)) into m with exactly the
+// generator calls rand.Perm(len(m)) makes, so it returns Perm's values and
+// leaves rng in the same state, without allocating.
+func permInto(rng *rand.Rand, m []int) []int {
 	for i := range m {
-		j := b.rng.Intn(i + 1)
+		j := rng.Intn(i + 1)
 		m[i] = m[j]
 		m[j] = i
 	}
@@ -276,29 +276,100 @@ func (b *builder) partition(seg []int32) {
 	copy(seg[l:], spill[:r])
 }
 
-func (t *tree) predict(x []float64) float64 {
-	i := int32(0)
-	for {
-		nd := &t.nodes[i]
-		if nd.feat < 0 {
-			return nd.val
-		}
-		// Branch-free child select, as in partition.
-		goLeft := int32(b2i(x[nd.feat] <= nd.thr))
-		i = nd.right + goLeft*(nd.left-nd.right)
-	}
+// nFeatures is the width of a design point's embedding (see features).
+const nFeatures = 6
+
+// predictor scores candidate pools against a forest. Rather than walking
+// each candidate down each tree — a chain of dependent loads per walk — it
+// pushes the pool's index list down every tree, stably partitioning it at
+// each split exactly as builder.partition moves training rows, and writes a
+// leaf's value to every candidate its segment holds. Trees are spread over
+// workers; each prediction depends only on its tree and candidate, so the
+// output cannot depend on the worker count. Buffers are reused across
+// rounds.
+type predictor struct {
+	cols    []float64 // the pool's features, column-major: cols[d*nc+j]
+	out     []float64 // per-tree predictions, tree-major: out[t*nc+j]
+	workers []*predictWorker
 }
 
-// predictInto scores the points xs[cands[j]] tree by tree, writing tree t's
-// prediction for candidate j to out[j*len(trees)+t].
-func (f *forest) predictInto(out []float64, xs [][]float64, cands []int) {
-	nt := len(f.trees)
-	for t := range f.trees {
-		tr := &f.trees[t]
-		for j, i := range cands {
-			out[j*nt+t] = tr.predict(xs[i])
+// predictWorker is one worker's scratch for pushing a pool down its trees.
+type predictWorker struct {
+	list, spill []int32
+	cols        []float64
+	nc          int
+	nodes       []node
+	row         []float64
+}
+
+// predict scores the points feats[cands[j]] under every tree of f. Tree t's
+// prediction for candidate j is at out[t*len(cands)+j]; the slice is only
+// valid until the next call.
+func (p *predictor) predict(f *forest, feats [][]float64, cands []int) []float64 {
+	nc, nt := len(cands), len(f.trees)
+	p.cols = slices.Grow(p.cols[:0], nFeatures*nc)[:nFeatures*nc]
+	p.out = slices.Grow(p.out[:0], nt*nc)[:nt*nc]
+	for j, i := range cands {
+		for d, v := range feats[i] {
+			p.cols[d*nc+j] = v
 		}
 	}
+	nw := min(runtime.GOMAXPROCS(0), nt)
+	for len(p.workers) < nw {
+		p.workers = append(p.workers, &predictWorker{})
+	}
+	var wg sync.WaitGroup
+	for w, pw := range p.workers[:nw] {
+		pw.list = slices.Grow(pw.list[:0], nc)[:nc]
+		pw.spill = slices.Grow(pw.spill[:0], nc)[:nc]
+		pw.cols, pw.nc = p.cols, nc
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := w; t < nt; t += nw {
+				pw.predict(f.trees[t].nodes, p.out[t*nc:(t+1)*nc])
+			}
+		}()
+	}
+	wg.Wait()
+	return p.out
+}
+
+// predict writes the tree's prediction for every pool candidate to row.
+func (w *predictWorker) predict(nodes []node, row []float64) {
+	for j := range w.list {
+		w.list[j] = int32(j)
+	}
+	w.nodes, w.row = nodes, row
+	w.descend(0, w.list)
+}
+
+// descend routes the candidates in seg from node i to their leaves.
+func (w *predictWorker) descend(i int32, seg []int32) {
+	if len(seg) == 0 {
+		return
+	}
+	nd := &w.nodes[i]
+	if nd.feat < 0 {
+		for _, j := range seg {
+			w.row[j] = nd.val
+		}
+		return
+	}
+	// Branch-free stable partition on x[feat] <= thr, as in
+	// builder.partition.
+	col, thr, spill := w.cols[nd.feat*w.nc:(nd.feat+1)*w.nc], nd.thr, w.spill
+	l, r := 0, 0
+	for _, j := range seg {
+		m := b2i(col[j] <= thr)
+		seg[l] = j
+		spill[r] = j
+		l += m
+		r += 1 - m
+	}
+	copy(seg[l:], spill[:r])
+	w.descend(nd.left, seg[:l])
+	w.descend(nd.right, seg[l:])
 }
 
 // meanStd returns the mean and (population) standard deviation of one

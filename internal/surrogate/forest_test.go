@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -212,20 +213,166 @@ func TestFitForestAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestForestParallelismInvariant: the presorted builder's per-worker scratch
-// must not leak state between the trees a worker builds.
+// predict is the per-candidate walk the partitioning predictor replaced,
+// kept as its oracle: one dependent load per level, root to leaf.
+func (t *tree) predict(x []float64) float64 {
+	i := int32(0)
+	for {
+		nd := &t.nodes[i]
+		if nd.feat < 0 {
+			return nd.val
+		}
+		goLeft := int32(b2i(x[nd.feat] <= nd.thr))
+		i = nd.right + goLeft*(nd.left-nd.right)
+	}
+}
+
+// predictInto scores the points xs[cands[j]] by walking every tree, writing
+// tree t's prediction for candidate j to out[j*len(trees)+t].
+func (f *forest) predictInto(out []float64, xs [][]float64, cands []int) {
+	nt := len(f.trees)
+	for t := range f.trees {
+		tr := &f.trees[t]
+		for j, i := range cands {
+			out[j*nt+t] = tr.predict(xs[i])
+		}
+	}
+}
+
+// probeRows returns candidate rows for a fitted forest: every training row
+// (each split's threshold lies midway between two training values, so these
+// sit on either side of it) plus, for every split, a training row moved onto
+// the threshold itself and onto the floats just below and above it.
+func probeRows(f *forest, X [][]float64) [][]float64 {
+	xs := slices.Clone(X)
+	for _, tr := range f.trees {
+		for _, nd := range tr.nodes {
+			if nd.feat < 0 {
+				continue
+			}
+			for _, v := range []float64{nd.thr, math.Nextafter(nd.thr, math.Inf(-1)), math.Nextafter(nd.thr, math.Inf(1))} {
+				row := slices.Clone(X[len(xs)%len(X)])
+				row[nd.feat] = v
+				xs = append(xs, row)
+			}
+		}
+	}
+	return xs
+}
+
+// TestPredictMatchesWalk is the prediction oracle: over the randomFitInput
+// forests, the partitioning predictor must give every candidate of random
+// pools — down to a pool of one — exactly the walk's per-tree predictions,
+// bit for bit, including candidates on and beside every threshold.
+func TestPredictMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var pr predictor // reused across cases, as across rounds
+	for c := 0; c < 200; c++ {
+		X, y, o := randomFitInput(rng)
+		seeds := make([]int64, 1+rng.Intn(6))
+		for i := range seeds {
+			seeds[i] = rng.Int63()
+		}
+		f := fitForest(seeds, X, y, o)
+		xs := probeRows(f, X)
+		nt := len(f.trees)
+		for _, size := range []int{1, 1 + rng.Intn(len(xs)), len(xs)} {
+			cands := rng.Perm(len(xs))[:size]
+			sort.Ints(cands)
+			want := make([]float64, size*nt)
+			f.predictInto(want, xs, cands)
+			got := pr.predict(f, xs, cands)
+			for j := range cands {
+				for ti := 0; ti < nt; ti++ {
+					g, w := got[ti*size+j], want[j*nt+ti]
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("case %d, pool of %d: tree %d candidate %v predicts %v, walk gives %v",
+							c, size, ti, xs[cands[j]], g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopInsertMatchesSort: keeping the top b by insertion must give the
+// batch, in order, that sorting the whole pool by (EI desc, index asc) and
+// taking the first b gives — with heavily tied scores and b both below and
+// at or beyond the pool size.
+func TestTopInsertMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for c := 0; c < 500; c++ {
+		n := 1 + rng.Intn(200)
+		idx := rng.Perm(4 * n)[:n] // arrival order need not be index order
+		all := make([]scored, n)
+		for j := range all {
+			all[j] = scored{idx: idx[j], ei: float64(rng.Intn(4)) * 0.125}
+			if rng.Intn(4) == 0 {
+				all[j].ei = rng.Float64()
+			}
+		}
+		for _, b := range []int{1, 1 + rng.Intn(n), n, n + 1 + rng.Intn(8)} {
+			var top []scored
+			for _, s := range all {
+				top = topInsert(top, b, s)
+			}
+			want := slices.Clone(all)
+			sort.Slice(want, func(a, b int) bool {
+				if want[a].ei != want[b].ei {
+					return want[a].ei > want[b].ei
+				}
+				return want[a].idx < want[b].idx
+			})
+			want = want[:min(b, n)]
+			if !slices.Equal(top, want) {
+				t.Fatalf("case %d (n=%d, b=%d): top-b insertion\n got %v\nwant %v", c, n, b, top, want)
+			}
+		}
+	}
+}
+
+// TestPermIntoMatchesPerm: the reused-buffer permutation returns rand.Perm's
+// values and leaves the generator exactly where Perm leaves it.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := make([]int, 300)
+	for n := 0; n <= len(buf); n += 1 + n/4 {
+		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		want := a.Perm(n)
+		got := permInto(b, buf[:n])
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: permInto %v, rand.Perm %v", n, got, want)
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("n=%d: generator state diverged after the permutation (%d vs %d)", n, y, x)
+		}
+	}
+}
+
+// TestForestParallelismInvariant: neither the presorted builder's nor the
+// predictor's per-worker scratch may leak state between the trees a worker
+// handles, so forests and predictions are identical at any worker count.
 func TestForestParallelismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var pr predictor
 	for c := 0; c < 20; c++ {
 		X, y, o := randomFitInput(rng)
 		runtime.GOMAXPROCS(1)
 		serial := fitForest(seeds, X, y, o)
+		xs := probeRows(serial, X)
+		cands := make([]int, len(xs))
+		for i := range cands {
+			cands[i] = i
+		}
+		serialPreds := slices.Clone(pr.predict(serial, xs, cands))
 		runtime.GOMAXPROCS(4)
 		parallel := fitForest(seeds, X, y, o)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("case %d: forest depends on worker count (n=%d, opts %+v)", c, len(y), o)
+		}
+		if got := pr.predict(parallel, xs, cands); !slices.Equal(got, serialPreds) {
+			t.Fatalf("case %d: predictions depend on worker count (n=%d, opts %+v)", c, len(y), o)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"ena/internal/arch"
@@ -220,14 +219,22 @@ func Explore(ctx context.Context, space dse.Space, kernels []workload.Kernel, bu
 		return nil
 	}
 
+	// perm and picked are the candidate-subsampling scratch; cands and
+	// scores hold one round's pool.
+	perm := make([]int, n)
+	picked := make([]bool, n)
+	cands := make([]int, 0, n)
+	pool := min(so.CandidatePool, n)
+	scores := make([]scored, 0, so.BatchSize)
+	row := make([]float64, so.Trees)
+	var pr predictor
+
 	// Round 0: the seeded initial sample.
-	if err := evalBatch(rng.Perm(n)[:so.InitEvals]); err != nil {
+	if err := evalBatch(permInto(rng, perm)[:so.InitEvals]); err != nil {
 		return Result{}, err
 	}
 	rounds := 1
 
-	// preds holds one row of per-tree predictions per scored candidate.
-	preds := make([]float64, min(so.CandidatePool, n)*so.Trees)
 	for len(traj) < so.Budget && len(traj) < n {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -244,48 +251,45 @@ func Explore(ctx context.Context, space dse.Space, kernels []workload.Kernel, bu
 			feats:    active,
 		})
 
-		cands := make([]int, 0, n-len(traj))
+		cands = cands[:0]
 		for i := 0; i < n; i++ {
 			if !evaluated[i] {
 				cands = append(cands, i)
 			}
 		}
-		if len(cands) > so.CandidatePool {
-			pick := rng.Perm(len(cands))[:so.CandidatePool]
-			sort.Ints(pick)
-			sub := make([]int, len(pick))
-			for j, k := range pick {
-				sub[j] = cands[k]
+		if len(cands) > pool {
+			// Keep the pool's picks in canonical order: mark the positions
+			// the permutation's prefix draws, then scan the pool in order.
+			for _, k := range permInto(rng, perm[:len(cands)])[:pool] {
+				picked[k] = true
+			}
+			sub := cands[:0]
+			for k, i := range cands {
+				if picked[k] {
+					picked[k] = false
+					sub = append(sub, i)
+				}
 			}
 			cands = sub
 		}
 
-		type scored struct {
-			idx int
-			ei  float64
-		}
-		f.predictInto(preds, feats, cands)
-		scores := make([]scored, len(cands))
-		for j, i := range cands {
-			mu, sigma := meanStd(preds[j*so.Trees : (j+1)*so.Trees])
-			scores[j] = scored{idx: i, ei: expectedImprovement(mu, sigma, best)}
-		}
-		sort.Slice(scores, func(a, b int) bool {
-			if scores[a].ei != scores[b].ei {
-				return scores[a].ei > scores[b].ei
-			}
-			return scores[a].idx < scores[b].idx
-		})
 		b := so.BatchSize
 		if rem := so.Budget - len(traj); b > rem {
 			b = rem
 		}
-		if b > len(scores) {
-			b = len(scores)
+		preds := pr.predict(f, feats, cands)
+		nc := len(cands)
+		scores = scores[:0]
+		for j, i := range cands {
+			for t := range row {
+				row[t] = preds[t*nc+j]
+			}
+			mu, sigma := meanStd(row)
+			scores = topInsert(scores, b, scored{idx: i, ei: expectedImprovement(mu, sigma, best)})
 		}
-		batch := make([]int, b)
-		for j := 0; j < b; j++ {
-			batch[j] = scores[j].idx
+		batch := make([]int, len(scores))
+		for j, sc := range scores {
+			batch[j] = sc.idx
 		}
 		if err := evalBatch(batch); err != nil {
 			return Result{}, err
@@ -310,12 +314,48 @@ func Explore(ctx context.Context, space dse.Space, kernels []workload.Kernel, bu
 	}, nil
 }
 
+// scored is a candidate's acquisition score.
+type scored struct {
+	idx int
+	ei  float64
+}
+
+// before orders candidates by EI descending, then point index ascending.
+func (a scored) before(b scored) bool {
+	if a.ei != b.ei {
+		return a.ei > b.ei
+	}
+	return a.idx < b.idx
+}
+
+// topInsert keeps top as the best (at most) b candidates seen so far, in
+// order: the same batch, in the same order, that sorting every candidate and
+// taking the first b gives.
+func topInsert(top []scored, b int, s scored) []scored {
+	if len(top) == b {
+		if b == 0 || !s.before(top[b-1]) {
+			return top
+		}
+		top = top[:b-1]
+	}
+	k := len(top)
+	top = append(top, s)
+	for ; k > 0 && s.before(top[k-1]); k-- {
+		top[k] = top[k-1]
+	}
+	top[k] = s
+	return top
+}
+
 // features embeds every point as a 6-vector (CUs, freq, bandwidth, chiplet
 // count, stack capacity, chain depth), materializing packaging defaults so
 // mixed spaces embed consistently. active lists the feature indices that
-// actually vary across the space — the only ones worth splitting on.
+// actually vary across the space — the only ones worth splitting on. The
+// rows are sub-slices of one flat buffer: embedding a space allocates two
+// slices, not one per point.
 func features(pts []dse.Point) (feats [][]float64, active []int) {
 	feats = make([][]float64, len(pts))
+	flat := make([]float64, nFeatures*len(pts))
 	for i, p := range pts {
 		g, h, m := p.GPUChiplets, p.HBMStackGB, p.ExtModules
 		if g == 0 {
@@ -327,9 +367,11 @@ func features(pts []dse.Point) (feats [][]float64, active []int) {
 		if m == 0 {
 			m = arch.DefaultModulesPerChain
 		}
-		feats[i] = []float64{float64(p.CUs), p.FreqMHz, p.BWTBps, float64(g), h, float64(m)}
+		x := flat[i*nFeatures : (i+1)*nFeatures : (i+1)*nFeatures]
+		x[0], x[1], x[2], x[3], x[4], x[5] = float64(p.CUs), p.FreqMHz, p.BWTBps, float64(g), h, float64(m)
+		feats[i] = x
 	}
-	for d := 0; d < 6; d++ {
+	for d := 0; d < nFeatures; d++ {
 		for i := 1; i < len(pts); i++ {
 			if feats[i][d] != feats[0][d] {
 				active = append(active, d)

@@ -215,3 +215,35 @@ func TestCancellation(t *testing.T) {
 		t.Fatal("cancelled exploration returned nil error")
 	}
 }
+
+// TestExploreAllocsBounded pins a surrogate job's allocations on the
+// 13,230-point packaging space with the service's options, through a
+// synthetic evaluator that allocates two slices per batch, so the count is
+// the explorer's own: the embedding, the forest fits and the acquisition
+// rounds. Embedding each point in its own slice would alone exceed it.
+func TestExploreAllocsBounded(t *testing.T) {
+	space := packagingSpace()
+	ks := workload.Suite()[:2]
+	ev := func(_ context.Context, pts []dse.Point) ([]dse.Eval, error) {
+		out := make([]dse.Eval, len(pts))
+		perf := make([]float64, len(ks)*len(pts))
+		for i, p := range pts {
+			pf := perf[i*len(ks) : (i+1)*len(ks)]
+			pf[0] = float64(p.CUs) * p.FreqMHz / 1e3
+			pf[1] = p.BWTBps * float64(p.GPUChiplets+p.ExtModules)
+			out[i] = dse.Eval{Point: p, PerfTFLOPs: pf, BudgetW: pf, FeasibleAll: p.CUs <= arch.ProvisionedCUs}
+		}
+		return out, nil
+	}
+	so := Options{Budget: 264, Seed: 1}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Explore(context.Background(), space, ks, arch.NodePowerBudgetW, 0, so, dse.Instr{}, ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 2500
+	if allocs > bound {
+		t.Fatalf("%.0f allocs per surrogate job, want <= %d", allocs, bound)
+	}
+	t.Logf("%.0f allocs per surrogate job", allocs)
+}
