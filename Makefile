@@ -76,8 +76,10 @@ chaos-short:
 # Short fuzz pass over the compression codec (round-trip + ratio bounds),
 # the fault-mask parser, the DL spec / batch-list / space-spec parsers
 # (never panic; accepted inputs are canonical fixed points), the job journal
-# fold, the shard-wire decoder (a 400 or a stream ending in done/error), and
-# the simulate handler (a 4xx, or a 200 whose body decodes).
+# fold, the shard-wire decoder (a 400 or a stream ending in done/error), the
+# simulate handler (a 4xx, or a 200 whose body decodes) and the explore
+# handler (a 4xx, or a 202 carrying a job); accepted requests of both keep
+# their cache key through a marshal round trip.
 fuzz-short:
 	go test -run='^$$' -fuzz=FuzzLineRoundTrip -fuzztime=10s ./internal/compress
 	go test -run='^$$' -fuzz=FuzzDecodeNeverPanics -fuzztime=5s ./internal/compress
@@ -88,6 +90,7 @@ fuzz-short:
 	go test -run='^$$' -fuzz=FuzzParseSpace -fuzztime=5s ./internal/dse
 	go test -run='^$$' -fuzz=FuzzShardRequest -fuzztime=5s ./internal/cluster
 	go test -run='^$$' -fuzz=FuzzSimulateRequest -fuzztime=5s ./internal/service
+	go test -run='^$$' -fuzz=FuzzExploreRequest -fuzztime=5s ./internal/service
 
 # Process-kill chaos: a 3-replica shared-store cluster runs a default-space
 # explore while a seeded loop SIGKILLs a random replica mid-sweep; survivors

@@ -7,7 +7,6 @@
 package dse
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"runtime"
@@ -18,6 +17,7 @@ import (
 
 	"ena/internal/arch"
 	"ena/internal/core"
+	"ena/internal/lru"
 	"ena/internal/obs"
 	"ena/internal/powopt"
 	"ena/internal/stats"
@@ -212,13 +212,9 @@ func Explore(space Space, kernels []workload.Kernel, budgetW float64, opts powop
 // Safe for concurrent use; only complete (non-cancelled) sweeps are stored,
 // and stored rows are immutable thereafter.
 type PerfCache struct {
-	mu        sync.Mutex
-	maxSweeps int
-	maxPoints int
-	sweeps    map[string]*list.Element // of lruEntry{key, sweepEntry}
-	points    map[string]*list.Element // of lruEntry{key, pointEntry}
-	sweepLRU  list.List                // front = most recently used
-	pointLRU  list.List
+	mu     sync.Mutex
+	sweeps *lru.Cache[string, sweepEntry]
+	points *lru.Cache[string, pointEntry]
 }
 
 // Default entry caps. Sweep entries are large (one perf row per point); point
@@ -243,30 +239,18 @@ type pointEntry struct {
 	cfg *arch.NodeConfig
 }
 
-type lruEntry struct {
-	key string
-	val any
-}
-
 // NewPerfCache returns an empty cache with the default entry caps.
 func NewPerfCache() *PerfCache {
 	return NewPerfCacheSized(DefaultPerfCacheSweeps, DefaultPerfCachePoints)
 }
 
 // NewPerfCacheSized returns an empty cache holding at most maxSweeps sweep
-// entries and maxPoints point entries (values < 1 are clamped to 1).
+// entries and maxPoints point entries (values < 1 act as 1: an LRU never
+// evicts its last entry).
 func NewPerfCacheSized(maxSweeps, maxPoints int) *PerfCache {
-	if maxSweeps < 1 {
-		maxSweeps = 1
-	}
-	if maxPoints < 1 {
-		maxPoints = 1
-	}
 	return &PerfCache{
-		maxSweeps: maxSweeps,
-		maxPoints: maxPoints,
-		sweeps:    make(map[string]*list.Element),
-		points:    make(map[string]*list.Element),
+		sweeps: lru.New[string, sweepEntry](int64(maxSweeps), nil, nil),
+		points: lru.New[string, pointEntry](int64(maxPoints), nil, nil),
 	}
 }
 
@@ -278,7 +262,7 @@ func (c *PerfCache) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sweeps) + len(c.points)
+	return c.sweeps.Len() + c.points.Len()
 }
 
 // kernelsKey canonicalizes a kernel set. Kernels are formatted with %+v:
@@ -311,43 +295,14 @@ func pointKey(p Point, kernelsSig string) string {
 		p.CUs, p.FreqMHz, p.BWTBps, p.GPUChiplets, p.HBMStackGB, p.ExtModules, kernelsSig)
 }
 
-// lruGet looks key up in m, promoting a hit to the front of lru.
-func lruGet(m map[string]*list.Element, lru *list.List, key string) (any, bool) {
-	el, ok := m[key]
-	if !ok {
-		return nil, false
-	}
-	lru.MoveToFront(el)
-	return el.Value.(lruEntry).val, true
-}
-
-// lruPut inserts or refreshes key in m, evicting from the back past max.
-func lruPut(m map[string]*list.Element, lru *list.List, key string, val any, max int) {
-	if el, ok := m[key]; ok {
-		el.Value = lruEntry{key: key, val: val}
-		lru.MoveToFront(el)
-		return
-	}
-	m[key] = lru.PushFront(lruEntry{key: key, val: val})
-	for len(m) > max {
-		back := lru.Back()
-		lru.Remove(back)
-		delete(m, back.Value.(lruEntry).key)
-	}
-}
-
 func (c *PerfCache) get(key string, nPoints int) (sweepEntry, bool) {
 	if c == nil {
 		return sweepEntry{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := lruGet(c.sweeps, &c.sweepLRU, key)
-	if !ok {
-		return sweepEntry{}, false
-	}
-	e := v.(sweepEntry)
-	if len(e.rows) != nPoints {
+	e, ok := c.sweeps.Get(key)
+	if !ok || len(e.rows) != nPoints {
 		return sweepEntry{}, false
 	}
 	return e, true
@@ -358,7 +313,7 @@ func (c *PerfCache) put(key string, e sweepEntry) {
 		return
 	}
 	c.mu.Lock()
-	lruPut(c.sweeps, &c.sweepLRU, key, e, c.maxSweeps)
+	c.sweeps.Put(key, e)
 	c.mu.Unlock()
 }
 
@@ -368,11 +323,7 @@ func (c *PerfCache) getPoint(key string) (pointEntry, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := lruGet(c.points, &c.pointLRU, key)
-	if !ok {
-		return pointEntry{}, false
-	}
-	return v.(pointEntry), true
+	return c.points.Get(key)
 }
 
 func (c *PerfCache) putPoint(key string, e pointEntry) {
@@ -380,7 +331,7 @@ func (c *PerfCache) putPoint(key string, e pointEntry) {
 		return
 	}
 	c.mu.Lock()
-	lruPut(c.points, &c.pointLRU, key, e, c.maxPoints)
+	c.points.Put(key, e)
 	c.mu.Unlock()
 }
 

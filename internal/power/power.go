@@ -84,6 +84,10 @@ const (
 	// 60 C reference (coupled with internal/thermal when iterating).
 	LeakageTempCoeffPerC = 0.008
 	LeakageRefTempC      = 60
+	// MinTempC and MaxTempC bound a requested die temperature (0 still
+	// means the reference); below -65 C the leakage scale turns negative.
+	MinTempC = -40
+	MaxTempC = 150
 )
 
 // Breakdown is the per-component node power in Watts. Fields are grouped the

@@ -1,12 +1,12 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"sync"
 
 	"ena/internal/faults"
+	"ena/internal/lru"
 	"ena/internal/obs"
 	"ena/internal/store"
 )
@@ -35,9 +35,7 @@ type Cache struct {
 	store *store.Store
 
 	mu       sync.Mutex
-	capacity int
-	lru      *list.List               // front = most recently used
-	entries  map[string]*list.Element // key -> element holding *entry
+	entries  *lru.Cache[string, any]
 	inflight map[string]*flight
 
 	hits      *obs.Counter
@@ -45,11 +43,6 @@ type Cache struct {
 	coalesced *obs.Counter
 	evictions *obs.Counter
 	size      *obs.Gauge
-}
-
-type entry struct {
-	key string
-	val any
 }
 
 type flight struct {
@@ -68,10 +61,7 @@ func NewCache(capacity int, reg *obs.Registry) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	return &Cache{
-		capacity:  capacity,
-		lru:       list.New(),
-		entries:   make(map[string]*list.Element),
+	c := &Cache{
 		inflight:  make(map[string]*flight),
 		hits:      reg.Counter("service.cache.hits"),
 		misses:    reg.Counter("service.cache.misses"),
@@ -79,6 +69,8 @@ func NewCache(capacity int, reg *obs.Registry) *Cache {
 		evictions: reg.Counter("service.cache.evictions"),
 		size:      reg.Gauge("service.cache.size"),
 	}
+	c.entries = lru.New(int64(capacity), nil, func(string, any) { c.evictions.Inc() })
+	return c
 }
 
 // SetStore layers a persistent result store under the memory cache (see the
@@ -91,7 +83,7 @@ func (c *Cache) SetStore(st *store.Store) { c.store = st }
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
+	if c.entries.Contains(key) {
 		return true
 	}
 	_, ok := c.inflight[key]
@@ -112,7 +104,7 @@ func (c *Cache) HitRatio() float64 {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.entries.Len()
 }
 
 // Get returns the cached value for key, marking it recently used. It does
@@ -121,12 +113,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	return c.entries.Get(key)
 }
 
 // DoPersist returns the cached value for key, or executes fn exactly once
@@ -149,16 +136,13 @@ func (c *Cache) Get(key string) (any, bool) {
 // concurrent callers share one store read just as they share one execution.
 func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (any, error), fn func() (any, error)) (any, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	if v, ok := c.entries.Get(key); ok {
 		if c.chaos.CorruptCache() {
 			// Injected corruption: drop the entry and fall through to
 			// the miss path so the value is recomputed (read repair).
-			c.lru.Remove(el)
-			delete(c.entries, key)
-			c.size.Set(float64(c.lru.Len()))
+			c.entries.Remove(key)
+			c.size.Set(float64(c.entries.Len()))
 		} else {
-			c.lru.MoveToFront(el)
-			v := el.Value.(*entry).val
 			c.hits.Inc()
 			c.mu.Unlock()
 			return v, true, nil
@@ -199,7 +183,8 @@ func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
-		c.storeLocked(key, f.val)
+		c.entries.Put(key, f.val)
+		c.size.Set(float64(c.entries.Len()))
 	}
 	c.mu.Unlock()
 	close(f.done)
@@ -216,22 +201,4 @@ func decodeAs[T any](b []byte) (any, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// storeLocked inserts (or refreshes) a cache entry and evicts from the LRU
-// tail beyond capacity. Callers hold c.mu.
-func (c *Cache) storeLocked(key string, val any) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*entry).val = val
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, val: val})
-	for c.lru.Len() > c.capacity {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.entries, last.Value.(*entry).key)
-		c.evictions.Inc()
-	}
-	c.size.Set(float64(c.lru.Len()))
 }

@@ -259,7 +259,9 @@ func TestSchedulerQueueFull(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	gate := make(chan struct{})
-	started := make(chan struct{})
+	// Buffered: the worker may reach the send before the test parks on
+	// <-started, and an unbuffered non-blocking send would drop the signal.
+	started := make(chan struct{}, 1)
 	block := func(ctx context.Context) (any, error) {
 		select {
 		case started <- struct{}{}:

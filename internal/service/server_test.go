@@ -137,6 +137,21 @@ func TestServerEndpoints(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantSubstr: "bw_tbps 65 exceeds the limit of 64",
 		},
 		{
+			name: "simulate temp_c beyond its bound", method: "POST", path: "/v1/simulate",
+			rawBody:    `{"kernel":"CoMD","options":{"temp_c":1e300}}`,
+			wantStatus: http.StatusBadRequest, wantSubstr: "temp_c 1e+300 out of [-40, 150]",
+		},
+		{
+			name: "simulate temp_c below its bound", method: "POST", path: "/v1/simulate",
+			rawBody:    `{"kernel":"CoMD","options":{"temp_c":-66}}`,
+			wantStatus: http.StatusBadRequest, wantSubstr: "temp_c -66 out of [-40, 150]",
+		},
+		{
+			name: "simulate temp_c at its upper bound", method: "POST", path: "/v1/simulate",
+			rawBody:    `{"kernel":"CoMD","options":{"temp_c":150}}`,
+			wantStatus: http.StatusOK, wantSubstr: `"node_w"`,
+		},
+		{
 			name: "simulate unknown field", method: "POST", path: "/v1/simulate",
 			rawBody:    `{"kernel":"CoMD","turbo":true}`,
 			wantStatus: http.StatusBadRequest, wantSubstr: "invalid request body",

@@ -14,11 +14,15 @@
 //	POST /v1/scale               async machine-scale fabric projection (202 + job id)
 //	GET  /v1/jobs/{id}           job status/result polling
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
+//	POST /v1/jobs/{id}/cancel    the same cancel, for clients without DELETE
 //	GET  /v1/experiments         list paper artifacts
 //	GET  /v1/experiments/{id}    run one table/figure harness, cached
 //	GET  /v1/kernels             the Table I workload suite
 //	GET  /metrics                obs registry snapshot (JSON)
+//	GET  /v1/metrics             the same registry as plain text, one metric a line
 //	GET  /healthz                liveness
+//	GET  /v1/healthz             readiness: 503 while draining
+//	/v1/internal/...             peer shard evaluation, ping and job summary
 //
 // cmd/enaserve wires this into a binary with graceful SIGTERM drain.
 package service

@@ -12,7 +12,9 @@ import (
 
 // FuzzSimulateRequest drives arbitrary bodies through the in-process
 // handler. Every body must get a 4xx, or a 200 whose body is non-empty JSON
-// that decodes into a SimulateResponse: never a 5xx, never a panic.
+// that decodes into a SimulateResponse: never a 5xx, never a panic. An
+// accepted request must keep its canonical keys through a marshal round
+// trip, as FuzzExploreRequest checks for explore.
 func FuzzSimulateRequest(f *testing.F) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -40,6 +42,12 @@ func FuzzSimulateRequest(f *testing.F) {
 		var resp SimulateResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 for %q with a body that does not decode (%v): %q", body, err, rec.Body)
+		}
+		req, again := decodeTwice[SimulateRequest](t, body)
+		job, err := req.resolve()
+		job2, err2 := again.resolve()
+		if err != nil || err2 != nil || job.key != job2.key || job.detailedKey != job2.detailedKey {
+			t.Fatalf("keys of %q changed through a marshal round trip: %s/%s (%v) -> %s/%s (%v)", body, job.key, job.detailedKey, err, job2.key, job2.detailedKey, err2)
 		}
 	})
 }

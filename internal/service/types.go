@@ -15,6 +15,7 @@ import (
 	"ena/internal/dse"
 	"ena/internal/faults"
 	"ena/internal/memsys"
+	"ena/internal/power"
 	"ena/internal/powopt"
 	"ena/internal/workload"
 )
@@ -319,6 +320,9 @@ func (r SimulateRequest) resolve() (simJob, error) {
 	}
 	if r.Options.MissFrac < 0 || r.Options.MissFrac > 1 {
 		return simJob{}, fmt.Errorf("miss_frac %v out of [0,1]", r.Options.MissFrac)
+	}
+	if t := r.Options.TempC; t != 0 && (t < power.MinTempC || t > power.MaxTempC) {
+		return simJob{}, fmt.Errorf("temp_c %v out of [%v, %v] (0 = the %v C reference)", t, power.MinTempC, power.MaxTempC, power.LeakageRefTempC)
 	}
 	cfg := arch.EHP(r.CUs, r.FreqMHz, r.BWTBps)
 	if err := cfg.Validate(); err != nil {

@@ -29,7 +29,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -43,6 +42,7 @@ import (
 
 	"sync"
 
+	"ena/internal/lru"
 	"ena/internal/obs"
 )
 
@@ -65,13 +65,10 @@ type header struct {
 // use; a nil *Store is a valid no-op store (Get always misses, Put is
 // dropped), so callers can thread an optional store without nil checks.
 type Store struct {
-	dir      string
-	maxBytes int64
+	dir string
 
-	mu      sync.Mutex
-	entries map[string]*list.Element // key -> element holding *sentry
-	lru     *list.List               // front = most recently used
-	total   int64
+	mu    sync.Mutex
+	index *lru.Cache[string, int64] // key -> blob size, bounded by the byte cap
 
 	hits       *obs.Counter
 	misses     *obs.Counter
@@ -81,12 +78,6 @@ type Store struct {
 	gcEvicted  *obs.Counter
 	bytesGauge *obs.Gauge
 	entGauge   *obs.Gauge
-}
-
-// sentry is one resident entry's index record.
-type sentry struct {
-	key  string
-	size int64
 }
 
 // Open initializes a store rooted at dir (created if absent), rebuilding the
@@ -105,9 +96,6 @@ func Open(dir string, maxBytes int64, reg *obs.Registry) (*Store, error) {
 	}
 	s := &Store{
 		dir:        dir,
-		maxBytes:   maxBytes,
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
 		hits:       reg.Counter("store.hits"),
 		misses:     reg.Counter("store.misses"),
 		writes:     reg.Counter("store.writes"),
@@ -117,6 +105,11 @@ func Open(dir string, maxBytes int64, reg *obs.Registry) (*Store, error) {
 		bytesGauge: reg.Gauge("store.bytes"),
 		entGauge:   reg.Gauge("store.entries"),
 	}
+	// Past the cap, garbage-collect the least-recently-used blobs.
+	s.index = lru.New(maxBytes, func(size int64) int64 { return size }, func(key string, _ int64) {
+		os.Remove(s.path(key))
+		s.gcEvicted.Inc()
+	})
 	if err := s.rebuild(); err != nil {
 		return nil, err
 	}
@@ -164,17 +157,15 @@ func (s *Store) rebuild() error {
 	}
 	// Oldest first: they enter the LRU back (coldest), newest end up at the
 	// front, so a restarted replica GCs in roughly the same order a
-	// continuously-running one would have.
+	// continuously-running one would have. Evicting on each insert keeps
+	// the newest suffix that fits the cap.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].mtime.Before(recs[j].mtime) })
 	s.mu.Lock()
 	for _, r := range recs {
-		if _, ok := s.entries[r.key]; ok {
-			continue
+		if !s.index.Contains(r.key) {
+			s.index.Put(r.key, r.size)
 		}
-		s.entries[r.key] = s.lru.PushFront(&sentry{key: r.key, size: r.size})
-		s.total += r.size
 	}
-	s.gcLocked()
 	s.publishLocked()
 	s.mu.Unlock()
 	return nil
@@ -215,12 +206,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	now := time.Now()
 	os.Chtimes(path, now, now) // best-effort cross-restart LRU signal
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-	} else {
-		s.entries[key] = s.lru.PushFront(&sentry{key: key, size: size})
-		s.total += size
-		s.gcLocked()
+	if _, ok := s.index.Get(key); !ok {
+		s.index.Put(key, size)
 	}
 	s.publishLocked()
 	s.mu.Unlock()
@@ -242,15 +229,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.total += size - el.Value.(*sentry).size
-		el.Value.(*sentry).size = size
-		s.lru.MoveToFront(el)
-	} else {
-		s.entries[key] = s.lru.PushFront(&sentry{key: key, size: size})
-		s.total += size
-	}
-	s.gcLocked()
+	s.index.Put(key, size)
 	s.publishLocked()
 	s.mu.Unlock()
 	s.writes.Inc()
@@ -260,32 +239,14 @@ func (s *Store) Put(key string, payload []byte) error {
 // dropIndex removes key from the in-memory index (the file is already gone).
 func (s *Store) dropIndex(key string) {
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.total -= el.Value.(*sentry).size
-		s.lru.Remove(el)
-		delete(s.entries, key)
-		s.publishLocked()
-	}
+	s.index.Remove(key)
+	s.publishLocked()
 	s.mu.Unlock()
 }
 
-// gcLocked evicts least-recently-used entries until the resident bytes fit
-// the cap. Callers hold s.mu.
-func (s *Store) gcLocked() {
-	for s.total > s.maxBytes && s.lru.Len() > 1 {
-		last := s.lru.Back()
-		e := last.Value.(*sentry)
-		s.lru.Remove(last)
-		delete(s.entries, e.key)
-		s.total -= e.size
-		os.Remove(s.path(e.key))
-		s.gcEvicted.Inc()
-	}
-}
-
 func (s *Store) publishLocked() {
-	s.bytesGauge.Set(float64(s.total))
-	s.entGauge.Set(float64(s.lru.Len()))
+	s.bytesGauge.Set(float64(s.index.Cost()))
+	s.entGauge.Set(float64(s.index.Len()))
 }
 
 // Len returns the number of indexed entries.
@@ -295,7 +256,7 @@ func (s *Store) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.Len()
+	return s.index.Len()
 }
 
 // Bytes returns the resident payload bytes (compressed, as stored).
@@ -305,7 +266,7 @@ func (s *Store) Bytes() int64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.total
+	return s.index.Cost()
 }
 
 // Stats is a point-in-time operational summary of a store.
@@ -325,7 +286,7 @@ func (s *Store) Stats() Stats {
 		return Stats{}
 	}
 	s.mu.Lock()
-	entries, total := s.lru.Len(), s.total
+	entries, total := s.index.Len(), s.index.Cost()
 	s.mu.Unlock()
 	return Stats{
 		Entries:     entries,
