@@ -65,11 +65,11 @@ test-workload:
 	go test -race ./internal/workload/ ./internal/serving/
 
 # Chaos suite: the service layer under the race detector with fault
-# injection on — injected panics, transient failures, breaker trips, and
-# deadline fallbacks must all be survived, not just tolerated. The fabric
-# line covers the link-flap injection site in the collective replay.
+# injection on — injected panics, transient failures, cancelled clients under
+# overload, and deadline fallbacks must all be survived, not just tolerated.
+# The fabric line covers the link-flap injection site in the collective replay.
 chaos-short:
-	go test -race -run='Chaos|Breaker|Fault|CacheEviction|CacheInflight' ./internal/service/
+	go test -race -run='Chaos|Overload|Fault|CacheEviction|CacheInflight' ./internal/service/
 	go test -run='Apply|Surface|Chaos' ./internal/faults/
 	go test -run='Chaos' ./internal/fabric/
 

@@ -162,18 +162,8 @@ func evaluateStep(ctx context.Context, inj *Injection, k workload.Kernel, o Surf
 		default:
 			p.MeanLatencyNs = nr.MeanLatencyNs
 			p.SustainedGBps = nr.SustainedGBps
-			// Refine throughput with the measured memory environment
-			// (the same coupling noc.Compare uses): bandwidth capped by
-			// what the degraded network sustained, latency as loaded.
-			bw := cfg.InPackageBWTBps()
-			if s := nr.SustainedGBps / 1000; s > 0 && s < bw {
-				bw = s
-			}
-			eff := 0.0
-			if bw > 0 {
-				eff = float64(cfg.TotalCUs()) * cfg.GPUFreqMHz() * 1e6 / (bw * 1e12)
-			}
-			pr := perf.Estimate(cfg, k, perf.MemEnv{BWTBps: bw, LatencyNs: nr.MeanLatencyNs, EffOpsPerByte: eff})
+			// Refine throughput with the measured memory environment.
+			pr := perf.Estimate(cfg, k, nr.Env(cfg))
 			p.TFLOPs = pr.TFLOPs
 			if p.NodeW > 0 {
 				p.GFperW = p.TFLOPs * 1000 / p.NodeW

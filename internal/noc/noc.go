@@ -584,10 +584,8 @@ func CompareContext(ctx context.Context, cfg *arch.NodeConfig, k workload.Kernel
 		return Comparison{}, err
 	}
 
-	envC := envFrom(cfg, chipletRes)
-	envM := envFrom(mono, monoRes)
-	pc := perf.Estimate(cfg, k, envC)
-	pm := perf.Estimate(mono, k, envM)
+	pc := perf.Estimate(cfg, k, chipletRes.Env(cfg))
+	pm := perf.Estimate(mono, k, monoRes.Env(mono))
 
 	c := Comparison{
 		Kernel:       k.Name,
@@ -604,10 +602,12 @@ func CompareContext(ctx context.Context, cfg *arch.NodeConfig, k workload.Kernel
 	return c, nil
 }
 
-// envFrom converts a simulation result into the analytic model's memory
+// Env converts a simulation result on cfg into the analytic model's memory
 // environment: measured loaded latency, and bandwidth capped by what the
-// network sustained.
-func envFrom(cfg *arch.NodeConfig, r Result) perf.MemEnv {
+// (possibly degraded) network sustained. It is the one coupling of the
+// detailed simulator to perf.Estimate, shared by Compare, the fault
+// surface and detailed simulate requests.
+func (r Result) Env(cfg *arch.NodeConfig) perf.MemEnv {
 	bw := cfg.InPackageBWTBps()
 	if s := r.SustainedGBps / 1000; s > 0 && s < bw {
 		bw = s

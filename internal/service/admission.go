@@ -10,8 +10,9 @@ import (
 	"ena/internal/obs"
 )
 
-// Admission control sits in front of the breaker/scheduler stack: each
-// governed route has a concurrency budget (slots) and a bounded wait queue.
+// Admission control is the service's one load governor, in front of the
+// handlers and the scheduler: each governed route has a concurrency budget
+// (slots) and a bounded wait queue.
 // A request that finds all slots busy waits in the queue; one that finds the
 // queue past its high-water mark is shed immediately with 503 + Retry-After.
 // Shedding at the door keeps latency bounded under overload — the server

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"sync"
 
 	"ena/internal/faults"
@@ -132,31 +133,42 @@ func (c *Cache) Get(key string) (any, bool) {
 // ctx only governs waiting: a caller whose context ends while blocked on
 // another caller's execution gets ctx.Err(). The execution itself runs under
 // whatever context fn captured — cancelling a waiting follower never aborts
-// the shared execution. Singleflight spans the whole read path, so
+// the shared execution. Nor does a cancelled leader fail its followers: an
+// execution that ends with the leader's context error is retried by each
+// follower whose own context is still live, the first of them taking over
+// as leader with its own fn. Singleflight spans the whole read path, so
 // concurrent callers share one store read just as they share one execution.
 func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (any, error), fn func() (any, error)) (any, bool, error) {
 	c.mu.Lock()
-	if v, ok := c.entries.Get(key); ok {
-		if c.chaos.CorruptCache() {
-			// Injected corruption: drop the entry and fall through to
-			// the miss path so the value is recomputed (read repair).
-			c.entries.Remove(key)
-			c.size.Set(float64(c.entries.Len()))
-		} else {
-			c.hits.Inc()
-			c.mu.Unlock()
-			return v, true, nil
+	for {
+		if v, ok := c.entries.Get(key); ok {
+			if c.chaos.CorruptCache() {
+				// Injected corruption: drop the entry and fall through to
+				// the miss path so the value is recomputed (read repair).
+				c.entries.Remove(key)
+				c.size.Set(float64(c.entries.Len()))
+			} else {
+				c.hits.Inc()
+				c.mu.Unlock()
+				return v, true, nil
+			}
 		}
-	}
-	if f, ok := c.inflight[key]; ok {
+		f, ok := c.inflight[key]
+		if !ok {
+			break
+		}
 		c.coalesced.Inc()
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.val, true, f.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
+		abandoned := errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)
+		if !abandoned || ctx.Err() != nil {
+			return f.val, true, f.err
+		}
+		c.mu.Lock()
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f

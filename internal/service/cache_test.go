@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,6 +175,60 @@ func TestCacheWaiterCancellation(t *testing.T) {
 		t.Fatal("cancelled waiter did not return")
 	}
 	close(gate) // let the leader finish
+}
+
+// A cancelled leader must not fail the callers coalesced onto its flight: a
+// follower whose own context is live takes over and runs its own fn.
+func TestCacheFollowerOutlivesCancelledLeader(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCache(8, reg)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	var execs atomic.Int64
+	started := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.DoPersist(leaderCtx, "k", nil, func() (any, error) {
+			execs.Add(1)
+			close(started)
+			<-leaderCtx.Done()
+			return nil, leaderCtx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	type result struct {
+		v      any
+		shared bool
+		err    error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		v, shared, err := c.DoPersist(context.Background(), "k", nil, func() (any, error) {
+			execs.Add(1)
+			return "follower", nil
+		})
+		follower <- result{v, shared, err}
+	}()
+	// The follower holds the leader's flight once it is counted as coalesced.
+	for coalesced := reg.Counter("service.cache.coalesced"); coalesced.Value() == 0; {
+		runtime.Gosched()
+	}
+	cancelLeader()
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader err = %v, want context.Canceled", err)
+	}
+	if r := <-follower; r.err != nil || r.v != "follower" || r.shared {
+		t.Fatalf("follower = (%v, %v, %v), want (follower, false, nil)", r.v, r.shared, r.err)
+	}
+	if n := execs.Load(); n != 2 {
+		t.Errorf("fn executed %d times, want 2 (the cancelled leader's and the follower's)", n)
+	}
+	if v, ok := c.Get("k"); !ok || v != "follower" {
+		t.Errorf("cached value = (%v, %v), want the follower's result", v, ok)
+	}
 }
 
 func TestCacheConcurrentMixedKeys(t *testing.T) {

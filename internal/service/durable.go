@@ -329,7 +329,7 @@ func (s *Server) runnerForJournal(e store.Entry) (func(context.Context) (any, er
 		if err != nil {
 			return nil, 0, fmt.Errorf("explore spec: %w", err)
 		}
-		return s.exploreRunner(ej), s.jobTimeout(ej.timeout), nil
+		return jobRunner(s.cache, ej.key, ej, s.explore), s.jobTimeout(ej.timeout), nil
 	case "scale":
 		var req ScaleRequest
 		if err := json.Unmarshal(e.Spec, &req); err != nil {
@@ -339,7 +339,7 @@ func (s *Server) runnerForJournal(e store.Entry) (func(context.Context) (any, er
 		if err != nil {
 			return nil, 0, fmt.Errorf("scale spec: %w", err)
 		}
-		return s.scaleRunner(sj), s.jobTimeout(sj.timeout), nil
+		return jobRunner(s.cache, sj.key, sj, s.scale), s.jobTimeout(sj.timeout), nil
 	}
 	return nil, 0, fmt.Errorf("unknown job kind %q", e.Kind)
 }

@@ -27,6 +27,8 @@ func FuzzExploreRequest(f *testing.F) {
 		`{"cus":[256,320],"freqs_mhz":[1000,800],"bws_tbps":[3],"kernels":["CoMD","SNAP"],"budget_w":140,"optimizations":["ntc"]}`,
 		`{"gpu_chiplets":[4,8],"hbm_stack_gbs":[16],"ext_modules":[2],"explorer":"surrogate","eval_budget":8,"seed":3}`,
 		`{"explorer":"exhaustive","timeout_sec":0.5}`,
+		`{"kernels":["CoMD"]}]`,
+		`{"kernels":["CoMD"]}}`,
 	} {
 		f.Add(seed)
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -25,7 +24,7 @@ import (
 // efficiency alongside.
 //
 // Scale jobs ride the same scheduler (async 202 + job id), result cache
-// (canonical-JSON key) and per-route circuit breaker as /v1/explore.
+// (canonical-JSON key) and admission governor as /v1/explore.
 
 // ScaleRequest is the body of POST /v1/scale. Kernel is required; Topology
 // defaults to "torus", Nodes to the node -> rack -> machine walk
@@ -194,38 +193,7 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	view, err := s.submitJob("scale", sj.key, req, s.jobTimeout(sj.timeout), s.scaleRunner(sj))
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeBackpressure(w, s.sched.RetryAfterSecs(), err)
-		return
-	case errors.Is(err, ErrDraining):
-		writeBackpressure(w, 1, err)
-		return
-	case err != nil:
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": view})
-}
-
-// scaleRunner is the execution closure of one scale job — what the scheduler
-// runs now, and what a recovering or adopting replica rebuilds from the
-// journalled request spec.
-func (s *Server) scaleRunner(sj scaleJob) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		val, _, err := s.cache.DoPersist(ctx, sj.key, decodeAs[ScaleResult], func() (any, error) {
-			out, err := s.scale(ctx, sj)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return val, nil
-	}
+	s.acceptJob(w, "scale", sj.key, req, s.jobTimeout(sj.timeout), jobRunner(s.cache, sj.key, sj, s.scale))
 }
 
 // scale runs one resolved scale job: every node count through

@@ -167,6 +167,16 @@ func TestServerEndpoints(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantSubstr: "multiple JSON documents",
 		},
 		{
+			name: "simulate stray closing bracket", method: "POST", path: "/v1/simulate",
+			rawBody:    `{"kernel":"CoMD"}]`,
+			wantStatus: http.StatusBadRequest, wantSubstr: "data after the JSON document",
+		},
+		{
+			name: "simulate stray closing brace", method: "POST", path: "/v1/simulate",
+			rawBody:    `{"kernel":"CoMD"}}`,
+			wantStatus: http.StatusBadRequest, wantSubstr: "data after the JSON document",
+		},
+		{
 			name: "explore bad grid", method: "POST", path: "/v1/explore",
 			body:       map[string]any{"cus": []int{-4}},
 			wantStatus: http.StatusBadRequest, wantSubstr: "has non-positive value -4",
@@ -621,6 +631,8 @@ func TestMalformedSweepBodiesRejected(t *testing.T) {
 		{"explore ext modules", "/v1/explore", `{"ext_modules":[1125899906842624]}`, "exceeds the limit"},
 		{"explore chiplets", "/v1/explore", `{"gpu_chiplets":[1125899906842624]}`, "exceeds the limit"},
 		{"explore too many points", "/v1/explore", `{"hbm_stack_gbs":[` + strings.Join(hbms, ",") + `]}`, "more than 131072 points"},
+		{"explore stray closing bracket", "/v1/explore", `{"kernels":["CoMD"]}]`, "data after the JSON document"},
+		{"explore stray closing brace", "/v1/explore", `{"kernels":["CoMD"]}}`, "data after the JSON document"},
 		{"shard ext modules", "/v1/internal/shard/explore",
 			`{"v":3,` + job + `,"items":[{"cus":320,"freq_mhz":1000,"bw_tbps":3,"ext_modules":1125899906842624}]}`, "exceeds the limit"},
 		{"shard scale size", "/v1/internal/shard/scale",
@@ -683,11 +695,49 @@ func TestExploreQueueFull(t *testing.T) {
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Errorf("Retry-After = %q, want a positive integer of seconds", ra)
 	}
+	// Operators need liveness and metrics most while a route sheds load.
+	for _, path := range []string{"/healthz", "/metrics"} {
+		if hr, hb := doJSON(t, c, "GET", ts.URL+path, nil); hr.StatusCode != http.StatusOK {
+			t.Errorf("%s while explore sheds = %d: %s", path, hr.StatusCode, hb)
+		}
+	}
 	close(gate)
 	drainCtx, dc := context.WithTimeout(context.Background(), 10*time.Second)
 	defer dc()
 	if err := s.Drain(drainCtx); err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// Clients that give up are the normal case under overload. Each simulate
+// whose request context is already cancelled fails, but nothing holds that
+// against the route: the next valid request is served, whether its key is
+// cached or not.
+func TestOverloadCancelledClientsKeepRouteOpen(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	simulate := func(ctx context.Context, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	if rec := simulate(context.Background(), `{"kernel":"CoMD"}`); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up simulate = %d: %s", rec.Code, rec.Body)
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 5; i++ {
+		// Distinct uncached keys, so each cancelled request reaches the model.
+		body := fmt.Sprintf(`{"kernel":"CoMD","freq_mhz":%d}`, 600+50*i)
+		if rec := simulate(gone, body); rec.Code == http.StatusOK {
+			t.Fatalf("cancelled simulate %d was served: %s", i, rec.Body)
+		}
+	}
+	for _, body := range []string{`{"kernel":"CoMD"}`, `{"kernel":"SNAP"}`} {
+		if rec := simulate(context.Background(), body); rec.Code != http.StatusOK {
+			t.Errorf("simulate %s after cancelled clients = %d (Retry-After %q): %s",
+				body, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -85,14 +86,6 @@ type Config struct {
 	// RetryBase is the first retry's backoff; later attempts double it,
 	// plus up to 50% jitter (default 10ms).
 	RetryBase time.Duration
-	// BreakerThreshold trips a route's circuit breaker after that many
-	// consecutive handler-originated 5xx responses (default 5); while
-	// open, the route answers 503 + Retry-After without running the
-	// handler. healthz and metrics are exempt.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before a
-	// half-open probe (default 10s).
-	BreakerCooldown time.Duration
 	// DetailedBudget bounds the event-driven NoC phase of a detailed
 	// simulate request (default 2s); past it the response falls back to
 	// the analytic result, flagged degraded.
@@ -167,7 +160,6 @@ type Server struct {
 	mux      *http.ServeMux
 	start    time.Time
 	chaos    *faults.Chaos
-	breakers map[string]*Breaker // route -> breaker (fixed at route setup)
 	coord    *cluster.Coordinator
 	prober   *cluster.Prober
 	durable  *durableManager
@@ -234,7 +226,6 @@ func New(ctx context.Context, cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		chaos:      cfg.Chaos,
-		breakers:   make(map[string]*Breaker),
 		simExecs:   reg.Counter("service.sim.executions"),
 		fallbacks:  reg.Counter("service.sim.fallbacks"),
 		reqCtr:     reg.Counter("service.http.requests"),
@@ -353,13 +344,9 @@ func (s *Server) routes() {
 }
 
 // statusWriter captures the response code for error accounting.
-// backpressure marks deliberate load-shedding responses (queue saturation,
-// open breakers): they are 5xx on the wire but must not count as handler
-// failures, or shedding load would itself trip the breaker.
 type statusWriter struct {
 	http.ResponseWriter
-	status       int
-	backpressure bool
+	status int
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -367,24 +354,13 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// breakerExempt routes stay reachable while everything else sheds load:
-// operators need liveness and metrics most during an incident.
-var breakerExempt = map[string]bool{"healthz": true, "metrics": true}
-
 // instrument wraps a handler with per-route and aggregate metrics, the
-// chaos latency site, the route's admission governor, and its circuit
-// breaker. Order on the way in: breaker (cheapest rejection) -> admission
-// (bounded queueing) -> handler.
+// chaos latency site and the route's admission governor. Order on the way
+// in: metrics -> chaos latency -> admission (bounded queueing) -> handler.
+// Health and metrics have no governor, so operators can reach them while
+// every other route sheds load.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	routeCtr := s.reg.Counter("service.http." + route + ".requests")
-	var br *Breaker
-	if !breakerExempt[route] {
-		br = s.breakers[route]
-		if br == nil {
-			br = NewBreaker(route, s.cfg.BreakerThreshold, s.cfg.BreakerCooldown, s.reg)
-			s.breakers[route] = br
-		}
-	}
 	adm := s.admissions[route]
 	admitted := func(sw *statusWriter, r *http.Request) {
 		release, err := adm.acquire(r.Context())
@@ -406,17 +382,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if d := s.chaos.Latency(); d > 0 {
 			time.Sleep(d)
 		}
-		if br != nil {
-			if ok, retryAfter := br.Allow(); !ok {
-				writeBackpressure(sw, retryAfter,
-					fmt.Errorf("service: %s circuit breaker open", route))
-			} else {
-				admitted(sw, r)
-				br.Report(sw.status >= 500 && !sw.backpressure)
-			}
-		} else {
-			admitted(sw, r)
-		}
+		admitted(sw, r)
 		s.inflight.Add(-1)
 		s.reqCtr.Inc()
 		routeCtr.Inc()
@@ -456,14 +422,10 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// writeBackpressure sheds load: 503 with a Retry-After hint, marked so the
-// circuit breaker does not count it as a handler failure.
+// writeBackpressure sheds load: 503 with a Retry-After hint.
 func writeBackpressure(w http.ResponseWriter, retryAfterSecs int, err error) {
 	if retryAfterSecs < 1 {
 		retryAfterSecs = 1
-	}
-	if sw, ok := w.(*statusWriter); ok {
-		sw.backpressure = true
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
@@ -478,12 +440,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
 	}
-	// A second document in the body is a malformed request, not trailing
-	// whitespace.
-	if dec.More() {
+	// Only whitespace may follow the document: a second document, or a stray
+	// byte such as an unmatched ']' or '}', is a malformed request.
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
 		return errors.New("invalid request body: multiple JSON documents")
+	default:
+		return fmt.Errorf("invalid request body: data after the JSON document: %w", err)
 	}
-	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -654,20 +620,8 @@ func (s *Server) runDetailed(ctx context.Context, resp *SimulateResponse, job si
 		if err != nil {
 			return nil, err
 		}
-		// Refine throughput with the measured memory environment (the
-		// coupling noc.Compare uses): bandwidth capped by what the —
-		// possibly degraded — network sustained, latency as loaded.
-		bw := job.cfg.InPackageBWTBps()
-		if sus := nr.SustainedGBps / 1000; sus > 0 && sus < bw {
-			bw = sus
-		}
-		eff := 0.0
-		if bw > 0 {
-			eff = float64(job.cfg.TotalCUs()) * job.cfg.GPUFreqMHz() * 1e6 / (bw * 1e12)
-		}
-		pr := perf.Estimate(job.cfg, job.kernel, perf.MemEnv{
-			BWTBps: bw, LatencyNs: nr.MeanLatencyNs, EffOpsPerByte: eff,
-		})
+		// Refine throughput with the measured memory environment.
+		pr := perf.Estimate(job.cfg, job.kernel, nr.Env(job.cfg))
 		return detailedResult{
 			MeanLatencyNs: nr.MeanLatencyNs,
 			SustainedGBps: nr.SustainedGBps,
@@ -711,21 +665,25 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	view, err := s.submitJob("explore", ej.key, req, s.jobTimeout(ej.timeout), s.exploreRunner(ej))
+	s.acceptJob(w, "explore", ej.key, req, s.jobTimeout(ej.timeout), jobRunner(s.cache, ej.key, ej, s.explore))
+}
+
+// acceptJob submits an async job and answers its request: 202 with the job,
+// or 503 + Retry-After when the scheduler sheds it.
+func (s *Server) acceptJob(w http.ResponseWriter, kind, key string, spec any, timeout time.Duration, run func(context.Context) (any, error)) {
+	view, err := s.submitJob(kind, key, spec, timeout, run)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Saturation is load-shedding, not failure: tell the client when
 		// to come back rather than making it guess.
 		writeBackpressure(w, s.sched.RetryAfterSecs(), err)
-		return
 	case errors.Is(err, ErrDraining):
 		writeBackpressure(w, 1, err)
-		return
 	case err != nil:
 		writeErr(w, http.StatusInternalServerError, err)
-		return
+	default:
+		writeJSON(w, http.StatusAccepted, map[string]any{"job": view})
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": view})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -819,17 +777,14 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"kernels": out})
 }
 
-// exploreRunner is the execution closure of one explore job — what the
-// scheduler runs now, and what a recovering or adopting replica rebuilds
-// from the journalled request spec.
-func (s *Server) exploreRunner(ej exploreJob) func(context.Context) (any, error) {
+// jobRunner is the execution closure of one async job — what the scheduler
+// runs now, and what a recovering or adopting replica rebuilds from the
+// journalled request spec: run(job), shared and persisted through the result
+// cache under key.
+func jobRunner[J, T any](c *Cache, key string, job J, run func(context.Context, J) (T, error)) func(context.Context) (any, error) {
 	return func(ctx context.Context) (any, error) {
-		val, _, err := s.cache.DoPersist(ctx, ej.key, decodeAs[ExploreResult], func() (any, error) {
-			out, err := s.explore(ctx, ej)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
+		val, _, err := c.DoPersist(ctx, key, decodeAs[T], func() (any, error) {
+			return run(ctx, job)
 		})
 		if err != nil {
 			return nil, err

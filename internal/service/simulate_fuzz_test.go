@@ -27,6 +27,8 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{"kernel":"CoMD","detailed":true,"bw_tbps":1e-300}`,
 		`{"kernel":"gemm:512x512x512:fp16","scenario":"serving","qps":1e-300}`,
 		`{"kernel":"gemm:65536x65536x65536:fp16","scenario":"serving","bw_tbps":0.001,"freq_mhz":1,"cus":8,"batches":"256"}`,
+		`{"kernel":"CoMD"}]`,
+		`{"kernel":"CoMD"}}`,
 	} {
 		f.Add(seed)
 	}
