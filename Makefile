@@ -52,11 +52,12 @@ test-fabric:
 	go test -race ./internal/fabric/
 
 # The experiment harnesses' worker pools under the race detector: Figure 7
-# and the NoC ablation fan their seeded simulations out, scaling prices
-# every series on one shared communicator, and inference replays its batch
-# sweep in parallel — all must stay bit-identical at any GOMAXPROCS.
+# and the NoC ablation fan their seeded simulations out and share Fig. 7's
+# runs, scaling prices every series on one shared communicator, inference
+# replays its batch sweep in parallel, and the thermal DSE screens its
+# points in parallel — all must stay bit-identical at any GOMAXPROCS.
 test-exp:
-	go test -race -run 'Figure7|AblationNoC|Scaling|Inference' ./internal/exp/
+	go test -race -run 'Figure7|AblationNoC|Scaling|Inference|ThermalDSE' ./internal/exp/
 
 # The DL kernel generators and the batched-FIFO serving simulator under the
 # race detector: the inference experiment's worker pool must stay

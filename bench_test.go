@@ -28,6 +28,7 @@ import (
 	"ena/internal/fabric"
 	"ena/internal/memsys"
 	"ena/internal/noc"
+	"ena/internal/obs"
 	"ena/internal/perf"
 	"ena/internal/power"
 	"ena/internal/ras"
@@ -40,15 +41,19 @@ import (
 )
 
 // benchExperiment runs one registered experiment per iteration, logging its
-// rendered output once.
+// rendered output once. Each iteration gets a fresh observation scope, so
+// Fig. 7 and the NoC ablation pay for the simulations they share (memoized
+// per scope) every time, as one enasim run does.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	e, err := exp.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer obs.SetDefault(obs.Default())
 	var out string
 	for i := 0; i < b.N; i++ {
+		obs.SetDefault(&obs.Scope{})
 		out = e.Run().Render()
 	}
 	b.StopTimer()

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"maps"
 	"regexp"
 	"runtime"
@@ -83,5 +85,23 @@ func TestAblationNoCCountersAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if one, two := counters(1), counters(2); !maps.Equal(one, two) {
 		t.Errorf("counters at GOMAXPROCS=1 %v differ from GOMAXPROCS=2 %v", one, two)
+	}
+}
+
+// allOutputSHA256 is the sha256 of `enasim -all` stdout. Every paper figure
+// and table is in that output, so a change that claims bit-identical
+// results must leave it alone.
+const allOutputSHA256 = "585e6620c914414d5b89bf1d19dd07d2cd8847e2cabf951ed19077b77464692d"
+
+// TestAllOutputHash pins the whole -all output, so a figure that moves by a
+// single printed digit fails the ordinary test suite.
+func TestAllOutputHash(t *testing.T) {
+	var out bytes.Buffer
+	if code := run(context.Background(), []string{"-all"}, &out); code != 0 {
+		t.Fatalf("run -all exited %d", code)
+	}
+	sum := sha256.Sum256(out.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != allOutputSHA256 {
+		t.Errorf("enasim -all output sha256 = %s, want %s", got, allOutputSHA256)
 	}
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"ena/internal/arch"
 	"ena/internal/core"
@@ -60,47 +61,67 @@ func (r AblationNoCResult) Render() string {
 // AblationNoC sweeps kernel locality around its calibrated value (the
 // architecturally meaningful knob: cache capacity / placement quality) and
 // compares the EHP's point-to-point interposer wiring against a cheaper
-// chain topology for the highest-traffic kernel. The seeded simulations
-// (every locality comparison, then both topology runs) are independent, so
-// they run on a GOMAXPROCS-bounded pool.
+// chain topology for the highest-traffic kernel. A row whose shifted kernel
+// is Fig. 7's kernel, and the point-to-point SNAP row, read Fig. 7's runs
+// (fig7Sims). The other simulations — a chiplet and a monolithic run per
+// shifted kernel, and the chain run — are independent, so they run on a
+// GOMAXPROCS-bounded pool.
 func AblationNoC() AblationNoCResult {
 	cfg := arch.BestMeanEHP()
+	monoCfg := arch.Monolithic(cfg)
 	ks := fig7KernelList()
+	chiplet0, mono0 := fig7Sims()
 	deltas := []float64{-0.15, 0, 0.15, 0.30}
 	// Topology comparison: the bisection-limited chain vs the EHP's
 	// point-to-point paths, under the heaviest traffic (SNAP).
-	snap, err := workload.ByName("SNAP")
-	if err != nil {
-		panic(err)
+	snap := slices.Index(fig7Kernels, "SNAP")
+
+	type sim struct {
+		cfg *arch.NodeConfig
+		k   workload.Kernel
+		opt noc.Options
+		dst *noc.Result
 	}
-	topos := []noc.Topology{noc.PointToPoint, noc.Chain}
-	out := AblationNoCResult{
-		Rows:     make([]AblationNoCRow, len(ks)*len(deltas)),
-		Topology: make([]TopologyRow, len(topos)),
-	}
-	parallelFor(len(out.Rows)+len(topos), runtime.GOMAXPROCS(0), func(i int) {
-		if i >= len(out.Rows) {
-			topo := topos[i-len(out.Rows)]
-			r := noc.Simulate(cfg, snap, noc.Options{Seed: 42, Topology: topo})
-			out.Topology[i-len(out.Rows)] = TopologyRow{
-				Topology:      topo.String(),
-				SustainedTBps: r.SustainedGBps / 1000,
-				MeanLatencyNs: r.MeanLatencyNs,
-			}
-			return
+	var (
+		sims    []sim
+		shifted = make([]workload.Kernel, len(ks)*len(deltas))
+		chiplet = make([]noc.Result, len(shifted))
+		mono    = make([]noc.Result, len(shifted))
+		chain   noc.Result
+	)
+	for i := range shifted {
+		ki := i / len(deltas)
+		k := ks[ki]
+		k.CacheLocality = min(max(k.CacheLocality+deltas[i%len(deltas)], 0), 0.95)
+		shifted[i] = k
+		if k.CacheLocality == ks[ki].CacheLocality {
+			chiplet[i], mono[i] = chiplet0[ki], mono0[ki]
+			continue
 		}
-		k, delta := ks[i/len(deltas)], deltas[i%len(deltas)]
-		kk := k
-		kk.CacheLocality = min(max(k.CacheLocality+delta, 0), 0.95)
-		c := noc.Compare(cfg, kk, 42)
+		opt := noc.Options{Seed: fig7Seed}
+		sims = append(sims, sim{cfg, k, opt, &chiplet[i]}, sim{monoCfg, k, opt, &mono[i]})
+	}
+	sims = append(sims, sim{cfg, ks[snap], noc.Options{Seed: fig7Seed, Topology: noc.Chain}, &chain})
+	parallelFor(len(sims), runtime.GOMAXPROCS(0), func(j int) {
+		s := sims[j]
+		*s.dst = noc.Simulate(s.cfg, s.k, s.opt)
+	})
+
+	out := AblationNoCResult{Rows: make([]AblationNoCRow, len(shifted))}
+	for i, k := range shifted {
+		c := noc.CompareResults(cfg, k, chiplet[i], mono[i])
 		out.Rows[i] = AblationNoCRow{
 			Kernel:        k.Name,
 			TSVScale:      1,
-			LocalityDelta: delta,
+			LocalityDelta: deltas[i%len(deltas)],
 			PerfVsMono:    c.PerfVsMonolith,
 			OutOfChiplet:  c.OutOfChiplet,
 		}
-	})
+	}
+	topoRow := func(t noc.Topology, r noc.Result) TopologyRow {
+		return TopologyRow{Topology: t.String(), SustainedTBps: r.SustainedGBps / 1000, MeanLatencyNs: r.MeanLatencyNs}
+	}
+	out.Topology = []TopologyRow{topoRow(noc.PointToPoint, chiplet0[snap]), topoRow(noc.Chain, chain)}
 	return out
 }
 

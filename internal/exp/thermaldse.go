@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 
 	"ena/internal/arch"
 	"ena/internal/core"
@@ -45,7 +46,9 @@ func (r ThermalDSEResult) Render() string {
 }
 
 // ThermalDSE screens every power-feasible design point against the DRAM
-// temperature limit using the linear thermal model.
+// temperature limit using the linear thermal model. The points are screened
+// on a GOMAXPROCS-bounded pool, each into its own slot; a serial pass then
+// reduces the slots in point order, so ties resolve as a serial scan would.
 func ThermalDSE() ThermalDSEResult {
 	base, _ := explorations()
 	lm, err := thermal.NewLinearModel(thermal.EHPFloorplan(), thermal.DefaultAmbientC, thermal.DefaultParams())
@@ -60,6 +63,46 @@ func ThermalDSE() ThermalDSEResult {
 	}
 	ks := workload.Suite()
 
+	// screen is one power-feasible point's verdict: whether every kernel
+	// stays under the limit with each cooler, and its hottest kernel (the
+	// first to reach the point's peak).
+	type screen struct {
+		thermalOK, weakOK bool
+		peak              float64
+		kernel            string
+	}
+	screens := make([]screen, len(base.Evals))
+	parallelFor(len(base.Evals), runtime.GOMAXPROCS(0), func(i int) {
+		e := base.Evals[i]
+		if !e.FeasibleAll {
+			return
+		}
+		cfg := e.Point.Config()
+		sc := screen{thermalOK: true, weakOK: true}
+		for _, k := range ks {
+			r := core.Simulate(cfg, k, core.Options{})
+			pa := AssignThermalPower(cfg, r)
+			peak, err := lm.PeakDRAMTempC(pa)
+			if err != nil {
+				panic(fmt.Sprintf("exp: thermal eval: %v", err))
+			}
+			if peak > sc.peak {
+				sc.peak, sc.kernel = peak, k.Name
+			}
+			if peak >= thermal.DRAMTempLimitC {
+				sc.thermalOK = false
+			}
+			wpeak, err := weak.PeakDRAMTempC(pa)
+			if err != nil {
+				panic(fmt.Sprintf("exp: weak-cooler eval: %v", err))
+			}
+			if wpeak >= thermal.DRAMTempLimitC {
+				sc.weakOK = false
+			}
+		}
+		screens[i] = sc
+	})
+
 	out := ThermalDSEResult{
 		PointsTotal: len(base.Evals),
 		BestMean:    base.BestMean.Point,
@@ -70,38 +113,19 @@ func ThermalDSE() ThermalDSEResult {
 			continue
 		}
 		out.PowerFeasible++
-		cfg := e.Point.Config()
-		thermalOK, weakOK := true, true
-		for _, k := range ks {
-			r := core.Simulate(cfg, k, core.Options{})
-			pa := AssignThermalPower(cfg, r)
-			peak, err := lm.PeakDRAMTempC(pa)
-			if err != nil {
-				panic(fmt.Sprintf("exp: thermal eval: %v", err))
-			}
-			if peak > out.HottestTempC {
-				out.HottestTempC = peak
-				out.HottestPoint = e.Point
-				out.HottestKernel = k.Name
-			}
-			if peak >= thermal.DRAMTempLimitC {
-				thermalOK = false
-			}
-			wpeak, err := weak.PeakDRAMTempC(pa)
-			if err != nil {
-				panic(fmt.Sprintf("exp: weak-cooler eval: %v", err))
-			}
-			if wpeak >= thermal.DRAMTempLimitC {
-				weakOK = false
-			}
+		sc := screens[i]
+		if sc.peak > out.HottestTempC {
+			out.HottestTempC = sc.peak
+			out.HottestPoint = e.Point
+			out.HottestKernel = sc.kernel
 		}
 		inMeanRegion := e.Point.CUs <= arch.ProvisionedCUs
-		if !thermalOK {
+		if !sc.thermalOK {
 			out.ThermallyRejected++
 		} else if inMeanRegion && (bestBothIdx < 0 || e.MeanScore > base.Evals[bestBothIdx].MeanScore) {
 			bestBothIdx = i
 		}
-		if !weakOK {
+		if !sc.weakOK {
 			out.WeakCoolerRejected++
 		} else if inMeanRegion && (bestWeakIdx < 0 || e.MeanScore > base.Evals[bestWeakIdx].MeanScore) {
 			bestWeakIdx = i

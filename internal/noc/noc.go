@@ -574,24 +574,30 @@ func Compare(cfg *arch.NodeConfig, k workload.Kernel, seed int64) Comparison {
 // CompareContext is Compare with cooperative cancellation threaded through
 // both underlying event-driven simulations.
 func CompareContext(ctx context.Context, cfg *arch.NodeConfig, k workload.Kernel, seed int64) (Comparison, error) {
-	chipletRes, err := SimulateContext(ctx, cfg, k, Options{Seed: seed})
+	chiplet, err := SimulateContext(ctx, cfg, k, Options{Seed: seed})
 	if err != nil {
 		return Comparison{}, err
 	}
-	mono := arch.Monolithic(cfg)
-	monoRes, err := SimulateContext(ctx, mono, k, Options{Seed: seed})
+	mono, err := SimulateContext(ctx, arch.Monolithic(cfg), k, Options{Seed: seed})
 	if err != nil {
 		return Comparison{}, err
 	}
+	return CompareResults(cfg, k, chiplet, mono), nil
+}
 
-	pc := perf.Estimate(cfg, k, chipletRes.Env(cfg))
-	pm := perf.Estimate(mono, k, monoRes.Env(mono))
+// CompareResults derives the Fig. 7 comparison from k's two simulations:
+// chiplet on cfg and mono on arch.Monolithic(cfg). Callers that already
+// hold both runs build the comparison without simulating again.
+func CompareResults(cfg *arch.NodeConfig, k workload.Kernel, chiplet, mono Result) Comparison {
+	monoCfg := arch.Monolithic(cfg)
+	pc := perf.Estimate(cfg, k, chiplet.Env(cfg))
+	pm := perf.Estimate(monoCfg, k, mono.Env(monoCfg))
 
 	c := Comparison{
 		Kernel:       k.Name,
-		OutOfChiplet: chipletRes.OutOfChiplet,
-		ChipletLatNs: chipletRes.MeanLatencyNs,
-		MonoLatNs:    monoRes.MeanLatencyNs,
+		OutOfChiplet: chiplet.OutOfChiplet,
+		ChipletLatNs: chiplet.MeanLatencyNs,
+		MonoLatNs:    mono.MeanLatencyNs,
 	}
 	if pm.TFLOPs > 0 {
 		c.PerfVsMonolith = pc.TFLOPs / pm.TFLOPs
@@ -599,7 +605,7 @@ func CompareContext(ctx context.Context, cfg *arch.NodeConfig, k workload.Kernel
 			c.PerfVsMonolith = 1
 		}
 	}
-	return c, nil
+	return c
 }
 
 // Env converts a simulation result on cfg into the analytic model's memory

@@ -726,12 +726,18 @@ func TestOverloadCancelledClientsKeepRouteOpen(t *testing.T) {
 	}
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
+	errs, cancelled := s.reg.Counter("service.http.errors"), s.reg.Counter("service.http.client_cancelled")
+	errs0, cancelled0 := errs.Value(), cancelled.Value()
 	for i := 0; i < 5; i++ {
 		// Distinct uncached keys, so each cancelled request reaches the model.
 		body := fmt.Sprintf(`{"kernel":"CoMD","freq_mhz":%d}`, 600+50*i)
 		if rec := simulate(gone, body); rec.Code == http.StatusOK {
 			t.Fatalf("cancelled simulate %d was served: %s", i, rec.Body)
 		}
+	}
+	// A client that gave up is counted as such, not as a server error.
+	if de, dc := errs.Value()-errs0, cancelled.Value()-cancelled0; de != 0 || dc != 5 {
+		t.Errorf("cancelled clients added %d to service.http.errors and %d to service.http.client_cancelled, want 0 and 5", de, dc)
 	}
 	for _, body := range []string{`{"kernel":"CoMD"}`, `{"kernel":"SNAP"}`} {
 		if rec := simulate(context.Background(), body); rec.Code != http.StatusOK {

@@ -184,6 +184,7 @@ type Server struct {
 	fallbacks *obs.Counter
 	reqCtr    *obs.Counter
 	errCtr    *obs.Counter
+	cancelCtr *obs.Counter
 	inflight  *obs.Gauge
 	latHist   *obs.Histogram
 }
@@ -230,6 +231,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		fallbacks:  reg.Counter("service.sim.fallbacks"),
 		reqCtr:     reg.Counter("service.http.requests"),
 		errCtr:     reg.Counter("service.http.errors"),
+		cancelCtr:  reg.Counter("service.http.client_cancelled"),
 		inflight:   reg.Gauge("service.http.inflight"),
 		latHist:    reg.Histogram("service.http.latency_ns", durationBounds),
 		perfCache:  dse.NewPerfCache(),
@@ -387,7 +389,12 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		s.reqCtr.Inc()
 		routeCtr.Inc()
 		if sw.status >= 400 {
-			s.errCtr.Inc()
+			// A client that gave up is not a server fault.
+			if errors.Is(r.Context().Err(), context.Canceled) {
+				s.cancelCtr.Inc()
+			} else {
+				s.errCtr.Inc()
+			}
 		}
 		s.latHist.Observe(float64(time.Since(t0)))
 	}
@@ -524,10 +531,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		release, err := s.admitSim.acquire(ctx)
 		if err != nil {
-			writeBackpressure(w, 1, err)
+			writeBackpressure(w, s.admitSim.retryAfter(), err)
 			return
 		}
-		defer release()
+		// The slot's hold time feeds the route's EWMA, and with it the
+		// Retry-After that shed requests get.
+		t0 := time.Now()
+		defer func() {
+			s.admitSim.observe(time.Since(t0))
+			release()
+		}()
 	}
 	val, shared, err := s.cache.DoPersist(ctx, job.key, decodeAs[SimulateResponse], func() (any, error) {
 		s.simExecs.Inc()

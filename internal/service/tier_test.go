@@ -437,3 +437,35 @@ func TestAdmissionCachedKeyBypass(t *testing.T) {
 		t.Errorf("admitted = %d, want 1 (only the first execution)", got)
 	}
 }
+
+// A shed simulate request gets the adaptive Retry-After, and a served
+// uncached request feeds the EWMA it is computed from.
+func TestSimulateRetryAfterAdapts(t *testing.T) {
+	s, ts := newTierServer(t, Config{AdmitSimulate: 1, AdmitQueue: 1})
+	c := ts.Client()
+	if got := s.admitSim.ewmaNs.Load(); got != 0 {
+		t.Fatalf("ewma before any request = %d", got)
+	}
+	if resp, b := doJSON(t, c, "POST", ts.URL+"/v1/simulate", map[string]any{"kernel": "CoMD"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate status = %d: %s", resp.StatusCode, b)
+	}
+	if got := s.admitSim.ewmaNs.Load(); got <= 0 {
+		t.Fatalf("ewma after a served uncached request = %d, want > 0", got)
+	}
+
+	// Seed a slow service time, then hold the one slot and the one queue
+	// place as a blocked uncached request and a waiting one would.
+	s.admitSim.ewmaNs.Store(0)
+	s.admitSim.observe(5 * time.Second)
+	s.admitSim.slots <- struct{}{}
+	s.admitSim.queue <- struct{}{}
+	defer func() { <-s.admitSim.queue; <-s.admitSim.slots }()
+	resp, b := doJSON(t, c, "POST", ts.URL+"/v1/simulate", map[string]any{"kernel": "SNAP"})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("simulate with saturated admission = %d, want 503: %s", resp.StatusCode, b)
+	}
+	// (1 queued + 1) × 5 s / 1 slot = 10 s.
+	if ra := resp.Header.Get("Retry-After"); ra != "10" {
+		t.Errorf("Retry-After = %q, want 10", ra)
+	}
+}

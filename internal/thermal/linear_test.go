@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -87,5 +88,72 @@ func TestLinearModelSuperposition(t *testing.T) {
 	}
 	if d := math.Abs((three - DefaultAmbientC) - 3*(one-DefaultAmbientC)); d > 1e-6 {
 		t.Errorf("scaling identity violated by %v", d)
+	}
+}
+
+// oraclePeakDRAMTempC is the per-source superposition loop the packed table
+// replaced: for each DRAM cell under a GPU stack, it sums the CPU and
+// interposer responses, then each chiplet's GPU and HBM responses, reading
+// one full-size response array per source.
+func oraclePeakDRAMTempC(fp *Floorplan, ambientC float64, gpu, hbm [][]float64, cpu, ip []float64, p PowerAssignment) float64 {
+	n := len(fp.GPU)
+	peak := 0.0
+	for l := 0; l < 4; l++ {
+		for _, g := range fp.GPU {
+			for y := g.Y0; y < g.Y1; y++ {
+				for x := g.X0; x < g.X1; x++ {
+					idx := l*NX*NY + y*NX + x
+					t := cpu[idx]*p.CPUW + ip[idx]*p.InterposerW
+					for i := 0; i < n; i++ {
+						t += gpu[i][idx]*p.GPUChipletW[i] +
+							hbm[i][idx]*p.HBMStackW[i]
+					}
+					if t > peak {
+						peak = t
+					}
+				}
+			}
+		}
+	}
+	return ambientC + peak
+}
+
+// TestLinearModelMatchesPerSourceOracle: the packed response table gives
+// bit-identical peaks to the per-source superposition loop on random
+// non-uniform assignments, so packing changed no float operation.
+func TestLinearModelMatchesPerSourceOracle(t *testing.T) {
+	m := linearModel(t)
+	fp := EHPFloorplan()
+	gpu, hbm, cpu, ip, err := basisResponses(fp, DefaultAmbientC, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < 200; c++ {
+		pa := uniformAssignment(fp, 0, 0, 20*rng.Float64(), 15*rng.Float64())
+		for i := range pa.GPUChipletW {
+			pa.GPUChipletW[i] = 20 * rng.Float64()
+			pa.HBMStackW[i] = 8 * rng.Float64()
+		}
+		got, err := m.PeakDRAMTempC(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oraclePeakDRAMTempC(fp, DefaultAmbientC, gpu, hbm, cpu, ip, pa); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d: table peak %v (%#x), per-source oracle %v (%#x)",
+				c, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+func BenchmarkLinearModelPeak(b *testing.B) {
+	m, err := NewLinearModel(EHPFloorplan(), DefaultAmbientC, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pa := uniformAssignment(EHPFloorplan(), 10, 3, 8, 9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PeakDRAMTempC(pa)
 	}
 }
