@@ -80,7 +80,9 @@ chaos-short:
 # fold, the shard-wire decoder (a 400 or a stream ending in done/error), the
 # simulate handler (a 4xx, or a 200 whose body decodes) and the explore
 # handler (a 4xx, or a 202 carrying a job); accepted requests of both keep
-# their cache key through a marshal round trip.
+# their cache key through a marshal round trip. The event kernel runs
+# decoded programs of At, Cancel, Step, RunUntil and Run against a
+# stable-sorted reference queue.
 fuzz-short:
 	go test -run='^$$' -fuzz=FuzzLineRoundTrip -fuzztime=10s ./internal/compress
 	go test -run='^$$' -fuzz=FuzzDecodeNeverPanics -fuzztime=5s ./internal/compress
@@ -92,6 +94,7 @@ fuzz-short:
 	go test -run='^$$' -fuzz=FuzzShardRequest -fuzztime=5s ./internal/cluster
 	go test -run='^$$' -fuzz=FuzzSimulateRequest -fuzztime=5s ./internal/service
 	go test -run='^$$' -fuzz=FuzzExploreRequest -fuzztime=5s ./internal/service
+	go test -run='^$$' -fuzz=FuzzEventOrder -fuzztime=5s ./internal/event
 
 # Process-kill chaos: a 3-replica shared-store cluster runs a default-space
 # explore while a seeded loop SIGKILLs a random replica mid-sweep; survivors

@@ -5,23 +5,41 @@
 //
 // The kernel is intentionally minimal: components schedule closures at future
 // times, and Run drains the queue until it is empty or a limit is reached.
-// Determinism is guaranteed by a monotonically increasing sequence number
-// that breaks ties between events scheduled for the same instant.
+// Determinism is guaranteed by running events scheduled for the same instant
+// in the order they were scheduled.
 //
-// The queue is a 4-ary implicit heap of inline entries over a slot table
-// with a free-list, so steady-state scheduling (one pop funding one push, as
-// in the NoC token loop and the memory queue) touches no allocator at all:
-// the heap and slot arrays reach their high-water mark once and are reused.
-// A 4-ary layout halves tree depth versus binary, trading a few extra
-// comparisons per level for better locality — the right trade when entries
-// are 24-byte values rather than pointers. Heap shape never affects
-// execution order because (at, seq) is a total order.
+// The queue is a monotone radix queue of inline 16-byte {key, slot} entries
+// over a slot table with a free-list. It relies on the clock never running
+// backward: every key scheduled is >= now, and a non-negative timestamp
+// orders the same way as its math.Float64bits, so the key is those bits. An
+// entry sits in buckets[bits.Len64(key^base)], where base is the last key
+// popped, or 0 once the queue drains, so base <= every queued key; a bitmask
+// records the non-empty buckets. Push is one append. Pop takes bucket 0
+// first-in first-out; when bucket 0 is empty it moves base to the minimum of
+// the lowest non-empty bucket, pops that entry and redistributes the rest of
+// the bucket, in order, into the buckets below.
+// Steady-state scheduling (one pop funding one push, as in the NoC token
+// loop and the memory queue) touches no allocator: the buckets and the slot
+// table reach their high-water mark once and are reused.
+//
+// Ties pop in scheduling order without a stored sequence number. Each
+// bucket is always in scheduling order: a push appends the newest entry,
+// and a redistribution only happens when every lower bucket is empty and
+// keeps the entries' order. Bucket 0 holds only keys equal to base, so
+// popping it first-in first-out is scheduling order among equal keys.
+//
+// Nothing rebuilds the queue for a key below base, so base <= now must hold
+// wherever user code can schedule: a peek never moves base, a queue that
+// drains to empty resets base to 0, and RunUntil drops a cancelled event
+// that lies past its deadline in place rather than popping it.
 package event
 
 import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"ena/internal/obs"
@@ -31,20 +49,11 @@ import (
 // clock set to the event's timestamp and may schedule further events.
 type Handler func()
 
-// heapEnt is one queued event's position in time. The handler itself lives
-// in the slot table so the heap moves 24-byte values during sifts.
-type heapEnt struct {
-	at   float64
-	seq  uint64
+// entry is one queued event: key is the math.Float64bits of its timestamp.
+// The handler itself lives in the slot table so buckets move 16-byte values.
+type entry struct {
+	key  uint64
 	slot int32
-}
-
-// entLess orders by (at, seq); seq is unique so this is a total order.
-func entLess(a, b heapEnt) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // slot holds the mutable per-event state referenced by tickets. gen guards
@@ -77,8 +86,11 @@ func (t Ticket) Cancel() {
 // create one with NewSim.
 type Sim struct {
 	now       float64
-	seq       uint64
-	heap      []heapEnt
+	base      uint64 // key of the last pop, 0 once drained; <= every queued key
+	mask      uint64 // bit b set when buckets[b] is non-empty
+	head      int    // next entry to pop from buckets[0]
+	pending   int    // queued entries, cancelled ones included
+	buckets   [64][]entry
 	slots     []slot
 	free      []int32
 	processed uint64
@@ -95,7 +107,7 @@ func NewSim() *Sim {
 }
 
 // simPool recycles simulator instances so back-to-back detailed simulations
-// (one per DSE point) reuse the heap and slot arrays instead of regrowing
+// (one per DSE point) reuse the buckets and slot table instead of regrowing
 // them from scratch each run.
 var simPool = sync.Pool{New: func() any { return NewSim() }}
 
@@ -119,9 +131,11 @@ func ReleaseSim(s *Sim) {
 // Outstanding tickets are invalidated.
 func (s *Sim) Reset() {
 	s.now = 0
-	s.seq = 0
+	s.base, s.mask, s.head, s.pending = 0, 0, 0, 0
 	s.processed = 0
-	s.heap = s.heap[:0]
+	for b := range s.buckets {
+		s.buckets[b] = s.buckets[b][:0]
+	}
 	s.free = s.free[:0]
 	for i := range s.slots {
 		s.slots[i].fn = nil
@@ -150,7 +164,7 @@ func (s *Sim) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events still queued (including cancelled
 // events that have not yet been dequeued).
-func (s *Sim) Pending() int { return len(s.heap) }
+func (s *Sim) Pending() int { return s.pending }
 
 // ErrPastEvent is returned when an event is scheduled before the current time.
 var ErrPastEvent = errors.New("event: scheduled in the past")
@@ -164,6 +178,9 @@ func (s *Sim) At(t float64, fn Handler) (Ticket, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return Ticket{}, errors.New("event: non-finite timestamp")
 	}
+	if t == 0 {
+		t = 0 // −0 has the sign bit set, so its bits would sort last
+	}
 	var si int32
 	if n := len(s.free); n > 0 {
 		si = s.free[n-1]
@@ -173,8 +190,8 @@ func (s *Sim) At(t float64, fn Handler) (Ticket, error) {
 		si = int32(len(s.slots) - 1)
 	}
 	s.slots[si].fn = fn
-	s.push(heapEnt{at: t, seq: s.seq, slot: si})
-	s.seq++
+	s.push(entry{key: math.Float64bits(t), slot: si})
+	s.pending++
 	return Ticket{s: s, slot: si, gen: s.slots[si].gen}, nil
 }
 
@@ -191,72 +208,83 @@ func (s *Sim) After(delay float64, fn Handler) Ticket {
 	return t
 }
 
-// push appends e and sifts it toward the root.
-func (s *Sim) push(e heapEnt) {
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entLess(e, s.heap[p]) {
-			break
-		}
-		s.heap[i] = s.heap[p]
-		i = p
-	}
-	s.heap[i] = e
+// push appends e to the bucket of its highest bit that differs from base.
+func (s *Sim) push(e entry) {
+	b := bits.Len64(e.key ^ s.base)
+	s.buckets[b] = append(s.buckets[b], e)
+	s.mask |= 1 << b
 }
 
-// popRoot removes and returns the minimum entry.
-func (s *Sim) popRoot() heapEnt {
-	root := s.heap[0]
-	n := len(s.heap) - 1
-	e := s.heap[n]
-	s.heap = s.heap[:n]
-	if n == 0 {
-		return root
+// peek locates the earliest entry without moving base: the head of bucket
+// 0, else the first minimal entry of the lowest non-empty bucket.
+func (s *Sim) peek() (b, i int) {
+	if s.mask&1 != 0 {
+		return 0, s.head
 	}
-	// Sift the displaced tail entry down from the root.
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+	b = bits.TrailingZeros64(s.mask)
+	q := s.buckets[b]
+	for j := 1; j < len(q); j++ {
+		if q[j].key < q[i].key {
+			i = j
 		}
-		m := c
-		end := min(c+4, n)
-		for j := c + 1; j < end; j++ {
-			if entLess(s.heap[j], s.heap[m]) {
-				m = j
+	}
+	return b, i
+}
+
+// take pops the earliest entry, found by peek at (b, i), recycles its slot,
+// and returns its handler; dead is true for a cancelled event (the handler
+// is discarded).
+func (s *Sim) take(b, i int) (at float64, fn Handler, dead bool) {
+	var e entry
+	if b == 0 {
+		q := s.buckets[0]
+		e = q[s.head]
+		s.head++
+		if s.head == len(q) {
+			s.buckets[0], s.head = q[:0], 0
+			s.mask &^= 1
+		}
+	} else {
+		// e becomes the new base, and the rest of its bucket moves, in
+		// order, into the empty buckets below. A lone entry, the common
+		// case of a shallow queue, skips the loops.
+		q := s.buckets[b]
+		e, s.base = q[i], q[i].key
+		if len(q) > 1 {
+			for _, r := range q[:i] {
+				s.push(r)
+			}
+			for _, r := range q[i+1:] {
+				s.push(r)
 			}
 		}
-		if !entLess(s.heap[m], e) {
-			break
-		}
-		s.heap[i] = s.heap[m]
-		i = m
+		s.buckets[b] = q[:0]
+		s.mask &^= 1 << b
 	}
-	s.heap[i] = e
-	return root
+	s.pending--
+	if s.pending == 0 {
+		s.base = 0
+	}
+	fn, dead = s.release(e.slot)
+	return math.Float64frombits(e.key), fn, dead
 }
 
-// take pops the minimum entry, recycles its slot, and returns its handler;
-// dead is true for a cancelled event (the handler is discarded).
-func (s *Sim) take() (at float64, fn Handler, dead bool) {
-	e := s.popRoot()
-	sl := &s.slots[e.slot]
+// release recycles slot si and returns the handler it held.
+func (s *Sim) release(si int32) (fn Handler, dead bool) {
+	sl := &s.slots[si]
 	fn, dead = sl.fn, sl.dead
 	sl.fn = nil
 	sl.dead = false
 	sl.gen++ // invalidate outstanding tickets for this event
-	s.free = append(s.free, e.slot)
-	return e.at, fn, dead
+	s.free = append(s.free, si)
+	return fn, dead
 }
 
 // Step executes the next pending event and returns false when the queue is
 // empty. Cancelled events are skipped without counting as processed.
 func (s *Sim) Step() bool {
-	for len(s.heap) > 0 {
-		at, fn, dead := s.take()
+	for s.pending > 0 {
+		at, fn, dead := s.take(s.peek())
 		if dead {
 			continue
 		}
@@ -264,7 +292,7 @@ func (s *Sim) Step() bool {
 		s.processed++
 		if s.evCounter != nil {
 			s.evCounter.Inc()
-			s.depthGauge.SetMax(float64(len(s.heap)))
+			s.depthGauge.SetMax(float64(s.pending))
 		}
 		fn()
 		return true
@@ -323,12 +351,25 @@ func (s *Sim) RunContext(ctx context.Context, maxEvents uint64) (uint64, error) 
 // Step does, without touching the processed count or instrumentation.
 func (s *Sim) RunUntil(deadline float64) uint64 {
 	var n uint64
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if top.at > deadline && !s.slots[top.slot].dead {
-			break
+	for s.pending > 0 {
+		b, i := s.peek()
+		e := s.buckets[b][i]
+		if math.Float64frombits(e.key) > deadline {
+			if !s.slots[e.slot].dead {
+				break
+			}
+			if b > 0 {
+				// Popping would move base past the clock: drop it in place.
+				s.buckets[b] = slices.Delete(s.buckets[b], i, i+1)
+				if len(s.buckets[b]) == 0 {
+					s.mask &^= 1 << b
+				}
+				s.pending--
+				s.release(e.slot)
+				continue
+			}
 		}
-		at, fn, dead := s.take()
+		at, fn, dead := s.take(b, i)
 		if dead {
 			continue
 		}
@@ -336,7 +377,7 @@ func (s *Sim) RunUntil(deadline float64) uint64 {
 		s.processed++
 		if s.evCounter != nil {
 			s.evCounter.Inc()
-			s.depthGauge.SetMax(float64(len(s.heap)))
+			s.depthGauge.SetMax(float64(s.pending))
 		}
 		fn()
 		n++

@@ -111,7 +111,7 @@ func TestRunUntilDropsTrailingCancelled(t *testing.T) {
 	}
 }
 
-// TestHeapOrderLargeFanIn stresses the 4-ary sift paths with a wide heap.
+// TestHeapOrderLargeFanIn stresses redistribution with a wide, deep queue.
 func TestHeapOrderLargeFanIn(t *testing.T) {
 	s := NewSim()
 	const n = 10_000

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 
 	"ena/internal/faults"
@@ -39,11 +40,12 @@ type Cache struct {
 	entries  *lru.Cache[string, any]
 	inflight map[string]*flight
 
-	hits      *obs.Counter
-	misses    *obs.Counter
-	coalesced *obs.Counter
-	evictions *obs.Counter
-	size      *obs.Gauge
+	hits          *obs.Counter
+	misses        *obs.Counter
+	coalesced     *obs.Counter
+	evictions     *obs.Counter
+	marshalErrors *obs.Counter
+	size          *obs.Gauge
 }
 
 type flight struct {
@@ -63,12 +65,13 @@ func NewCache(capacity int, reg *obs.Registry) *Cache {
 		capacity = DefaultCacheSize
 	}
 	c := &Cache{
-		inflight:  make(map[string]*flight),
-		hits:      reg.Counter("service.cache.hits"),
-		misses:    reg.Counter("service.cache.misses"),
-		coalesced: reg.Counter("service.cache.coalesced"),
-		evictions: reg.Counter("service.cache.evictions"),
-		size:      reg.Gauge("service.cache.size"),
+		inflight:      make(map[string]*flight),
+		hits:          reg.Counter("service.cache.hits"),
+		misses:        reg.Counter("service.cache.misses"),
+		coalesced:     reg.Counter("service.cache.coalesced"),
+		evictions:     reg.Counter("service.cache.evictions"),
+		marshalErrors: reg.Counter("service.cache.marshal_errors"),
+		size:          reg.Gauge("service.cache.size"),
 	}
 	c.entries = lru.New(int64(capacity), nil, func(string, any) { c.evictions.Inc() })
 	return c
@@ -128,7 +131,9 @@ func (c *Cache) Get(key string) (any, bool) {
 // shared — the caller got a result computed elsewhere (an earlier process,
 // or another replica on the same directory). A blob that no longer decodes
 // (an older build's shape) is recomputed and overwritten, never an error.
-// Without a store, decode is never called and nothing is marshalled.
+// A fresh result that does not marshal to JSON is the execution's error
+// (counted in service.cache.marshal_errors), so it is neither persisted nor
+// cached. Without a store, decode is never called and nothing is marshalled.
 //
 // ctx only governs waiting: a caller whose context ends while blocked on
 // another caller's execution gets ctx.Err(). The execution itself runs under
@@ -186,7 +191,10 @@ func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (
 		c.misses.Inc()
 		f.val, f.err = fn()
 		if f.err == nil && c.store != nil {
-			if b, err := json.Marshal(f.val); err == nil {
+			if b, err := json.Marshal(f.val); err != nil {
+				c.marshalErrors.Inc()
+				f.val, f.err = nil, fmt.Errorf("service: encode result for the store: %w", err)
+			} else {
 				_ = c.store.Put(key, b) // best-effort; the store counts write errors
 			}
 		}

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"ena/internal/obs"
+	"ena/internal/store"
 )
 
 func TestCacheHitMiss(t *testing.T) {
@@ -282,5 +285,36 @@ func TestCacheMissWithoutStoreSkipsMarshal(t *testing.T) {
 	}
 	if got := n.Load(); got != 0 {
 		t.Fatalf("result marshalled %d times without a store", got)
+	}
+}
+
+// With a store set, a result that does not marshal (a NaN) is the
+// execution's error: it is counted, neither persisted nor cached, and the
+// next caller executes again.
+func TestCacheMarshalFailureIsError(t *testing.T) {
+	reg := obs.NewRegistry()
+	st, err := store.Open(t.TempDir(), 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(8, reg)
+	c.SetStore(st)
+	var execs int
+	fn := func() (any, error) { execs++; return math.NaN(), nil }
+	for i := 1; i <= 2; i++ {
+		v, shared, err := c.DoPersist(context.Background(), "k", decodeAs[float64], fn)
+		var ue *json.UnsupportedValueError
+		if !errors.As(err, &ue) || v != nil || shared {
+			t.Fatalf("call %d: DoPersist = (%v, %v, %v), want a JSON UnsupportedValueError", i, v, shared, err)
+		}
+		if execs != i {
+			t.Fatalf("call %d: %d executions; a failed marshal must not be cached", i, execs)
+		}
+	}
+	if got := reg.Counter("service.cache.marshal_errors").Value(); got != 2 {
+		t.Errorf("service.cache.marshal_errors = %d, want 2", got)
+	}
+	if _, ok := st.Get("k"); ok || c.Len() != 0 {
+		t.Errorf("failed result persisted (%v) or cached (len %d)", ok, c.Len())
 	}
 }
