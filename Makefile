@@ -34,9 +34,10 @@ test-store:
 
 # The sweep-sharding tier under the race detector: the coordinator's
 # fan-out/failover paths and the bit-identity of sharded merges against the
-# single-process sweeps.
+# single-process sweeps. Three passes, because every peer runs two pullers
+# that race on its retirement flag and the requeue path.
 test-cluster:
-	go test -race ./internal/cluster/ ./internal/load/
+	go test -race -count=3 ./internal/cluster/ ./internal/load/
 
 # The exploration tier under the race detector: the DSE sweep engine (worker
 # pools, perf-phase cache) and the surrogate explorer, whose determinism

@@ -22,7 +22,6 @@
 //	POST /v1/explore            async DSE sweep job (poll GET /v1/jobs/{id})
 //	GET  /v1/experiments/{id}   paper table/figure harnesses
 //	GET  /metrics               metrics snapshot (JSON)
-//	GET  /v1/metrics            metrics snapshot (plaintext)
 //	GET  /healthz               liveness
 //	GET  /v1/healthz            readiness (503 while draining)
 //

@@ -26,6 +26,12 @@ import (
 // rebalance at shard granularity.
 const DefaultShardsPerPeer = 3
 
+// pullersPerPeer is how many shards each active peer has in flight at once:
+// two keep a peer busy while its next shard request crosses the wire. Pulling
+// is the only load balancer — a faster or less loaded peer frees its pullers
+// sooner and so takes more shards.
+const pullersPerPeer = 2
+
 // Checkpoint chunk defaults: explore points are cheap (fixed-size chunks keep
 // shard boundaries independent of the peer set, so a checkpoint written by
 // one replica resumes on any other); scale sizes are whole-fabric evaluations
@@ -96,9 +102,8 @@ func NewCoordinator(peers []string, reg *obs.Registry) *Coordinator {
 }
 
 // SetProber installs health-aware peer membership: shard assignment draws
-// from the prober's healthy set instead of the static peer list, shard
-// failures feed back into it, and fast peers (by probe EWMA) pull with
-// double concurrency.
+// from the prober's healthy set instead of the static peer list, and shard
+// failures feed back into it.
 func (c *Coordinator) SetProber(p *Prober) {
 	if c != nil {
 		c.prober = p
@@ -143,28 +148,6 @@ func (c *Coordinator) activePeers() []string {
 		return c.peers
 	}
 	return c.prober.Healthy()
-}
-
-// pullerCount weights a peer's shard-pull concurrency by probe latency:
-// peers within 1.5x of the fastest EWMA (or not yet measured) pull two
-// shards at a time, laggards one.
-func (c *Coordinator) pullerCount(peer string, peers []string) int {
-	if c.prober == nil {
-		return 1
-	}
-	min := 0.0
-	for _, u := range peers {
-		if e := c.prober.EwmaNs(u); e > 0 && (min == 0 || e < min) {
-			min = e
-		}
-	}
-	if min == 0 {
-		return 2 // nothing measured yet: every peer starts fast
-	}
-	if e := c.prober.EwmaNs(peer); e == 0 || e <= 1.5*min {
-		return 2
-	}
-	return 1
 }
 
 // chaosSleep implements the eval-delay knob, respecting cancellation.
@@ -234,10 +217,10 @@ func (c *Coordinator) Scale(ctx context.Context, kind string, spec fabric.LinkSp
 const maxShardItems = 4096
 
 // sweep is the one sweep driver. It splits items into shards and drives
-// them to completion: pullers (one or two per healthy peer, by probe
-// latency) pull shards from a shared queue and stream their results; a
-// shard whose stream fails is requeued for the surviving peers (the failed
-// peer is retired for the rest of the job and reported to the prober);
+// them to completion: pullers (pullersPerPeer per healthy peer) pull shards
+// from a shared queue and stream their results; a shard whose stream fails
+// is requeued for the surviving peers (the failed peer is retired for the
+// rest of the job and reported to the prober);
 // shards left over when every peer has been retired are evaluated locally
 // with eval — the coordinator is itself a capable replica, so total peer
 // loss degrades to a single-process sweep instead of an error. Results
@@ -304,7 +287,7 @@ func sweep[J, I, R any](ctx context.Context, c *Coordinator, kind string, job J,
 		var wg sync.WaitGroup
 		for _, peer := range peers {
 			var retired atomic.Bool // shared by this peer's pullers
-			for p := 0; p < c.pullerCount(peer, peers); p++ {
+			for range pullersPerPeer {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -335,7 +318,7 @@ func sweep[J, I, R any](ctx context.Context, c *Coordinator, kind string, job J,
 								}
 								return
 							}
-							c.prober.ReportSuccess(peer, 0)
+							c.prober.ReportSuccess(peer)
 							save(sh)
 							if remaining.Add(-1) == 0 {
 								close(done)

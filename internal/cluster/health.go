@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -14,8 +15,6 @@ const (
 	DefaultProbeInterval = 2 * time.Second
 	probeTimeout         = 5 * time.Second
 	maxProbeBackoff      = 30 * time.Second
-	// ewmaAlpha weights the latest probe RTT into the peer's smoothed latency.
-	ewmaAlpha = 0.3
 )
 
 // Prober tracks worker-peer health. Peers start healthy (optimistic — the
@@ -23,8 +22,6 @@ const (
 // coordinator or observed by a probe marks the peer down, and down peers are
 // re-probed on an exponential backoff until they answer, at which point they
 // rejoin automatically — a retired peer is a peer resting, not a peer gone.
-// Probe RTTs feed an EWMA latency per peer that the coordinator uses to
-// weight shard assignment toward fast peers.
 //
 // A nil *Prober is inert: Healthy returns nil, reports are no-ops.
 type Prober struct {
@@ -44,7 +41,6 @@ type Prober struct {
 
 type peerHealth struct {
 	healthy   bool
-	ewmaNs    float64
 	fails     int       // consecutive failures, drives the probe backoff
 	nextProbe time.Time // down peers only: when the next probe is due
 }
@@ -74,9 +70,8 @@ func NewProber(peers []string, interval time.Duration, reg *obs.Registry) *Probe
 	return p
 }
 
-// Run probes until ctx ends: healthy peers every interval (their EWMA
-// latency stays warm), down peers when their backoff expires. Call it once,
-// in its own goroutine.
+// Run probes until ctx ends: healthy peers every interval, down peers when
+// their backoff expires. Call it once, in its own goroutine.
 func (p *Prober) Run(ctx context.Context) {
 	if p == nil {
 		return
@@ -109,14 +104,13 @@ func (p *Prober) probeRound(ctx context.Context) {
 		wg.Add(1)
 		go func(u string) {
 			defer wg.Done()
-			start := time.Now()
 			if err := p.probe(ctx, u); err != nil {
 				p.probeFail.Inc()
 				p.markDown(u)
 				return
 			}
 			p.probeOK.Inc()
-			p.ReportSuccess(u, time.Since(start))
+			p.ReportSuccess(u)
 		}(u)
 	}
 	wg.Wait()
@@ -133,6 +127,9 @@ func (p *Prober) probe(ctx context.Context, peer string) error {
 	if err != nil {
 		return err
 	}
+	// Drain before closing so the next probe reuses this connection
+	// instead of dialing the peer again.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return errStatus(resp.Status)
@@ -174,9 +171,9 @@ func (p *Prober) markDown(peer string) {
 	p.publishLocked()
 }
 
-// ReportSuccess marks a peer healthy and folds an observed RTT (probe or
-// shard round-trip start) into its EWMA latency. A down peer rejoins.
-func (p *Prober) ReportSuccess(peer string, rtt time.Duration) {
+// ReportSuccess marks a peer healthy (called after a good probe or a
+// completed shard). A down peer rejoins.
+func (p *Prober) ReportSuccess(peer string) {
 	if p == nil {
 		return
 	}
@@ -191,13 +188,6 @@ func (p *Prober) ReportSuccess(peer string, rtt time.Duration) {
 	}
 	ph.healthy = true
 	ph.fails = 0
-	if rtt > 0 {
-		if ph.ewmaNs == 0 {
-			ph.ewmaNs = float64(rtt.Nanoseconds())
-		} else {
-			ph.ewmaNs = ewmaAlpha*float64(rtt.Nanoseconds()) + (1-ewmaAlpha)*ph.ewmaNs
-		}
-	}
 	p.publishLocked()
 }
 
@@ -215,20 +205,6 @@ func (p *Prober) Healthy() []string {
 		}
 	}
 	return out
-}
-
-// EwmaNs returns a peer's smoothed observed latency in nanoseconds (0 when
-// nothing has been observed yet).
-func (p *Prober) EwmaNs(peer string) float64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ph, ok := p.peers[peer]; ok {
-		return ph.ewmaNs
-	}
-	return 0
 }
 
 // publishLocked refreshes the healthy-peer gauge. Callers hold p.mu (or the

@@ -4,10 +4,14 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ena/internal/dse"
 	"ena/internal/obs"
 )
 
@@ -54,9 +58,6 @@ func TestProberDownAndRejoin(t *testing.T) {
 	}
 	if reg.Counter("cluster.peer_rejoins").Value() == 0 {
 		t.Error("rejoin not counted")
-	}
-	if p.EwmaNs(srv.URL) <= 0 {
-		t.Error("no EWMA latency recorded from successful probes")
 	}
 
 	// Now the peer actually fails: probes notice without any coordinator
@@ -107,8 +108,8 @@ func TestProberBackoffGrows(t *testing.T) {
 func TestProberNilSafe(t *testing.T) {
 	var p *Prober
 	p.ReportFailure("x")
-	p.ReportSuccess("x", time.Millisecond)
-	if p.Healthy() != nil || p.EwmaNs("x") != 0 {
+	p.ReportSuccess("x")
+	if p.Healthy() != nil {
 		t.Fatal("nil prober not inert")
 	}
 	p.Run(context.Background()) // returns immediately
@@ -117,8 +118,98 @@ func TestProberNilSafe(t *testing.T) {
 func TestProberUnknownPeerIgnored(t *testing.T) {
 	p := NewProber([]string{"http://a"}, time.Second, obs.NewRegistry())
 	p.ReportFailure("http://stranger")
-	p.ReportSuccess("http://stranger", time.Millisecond)
+	p.ReportSuccess("http://stranger")
 	if len(p.Healthy()) != 1 {
 		t.Fatal("reports about unknown peers changed membership")
+	}
+}
+
+// gatedWorker wraps a worker handler: pings answer after pingDelay, and the
+// first two shard requests wait until both are in flight at once, so a peer
+// that pulls only one shard at a time never opens the gate.
+type gatedWorker struct {
+	inner     http.Handler
+	pingDelay time.Duration
+
+	mu       sync.Mutex
+	inflight int
+	peak     int
+	seen     int
+	both     chan struct{}
+	open     sync.Once
+	timedOut atomic.Bool
+}
+
+func newGatedWorker(pingDelay time.Duration) *gatedWorker {
+	return &gatedWorker{inner: WorkerHandler(obs.NewRegistry()), pingDelay: pingDelay, both: make(chan struct{})}
+}
+
+func (g *gatedWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/ping") {
+		time.Sleep(g.pingDelay)
+		g.inner.ServeHTTP(w, r)
+		return
+	}
+	g.mu.Lock()
+	g.seen++
+	gated := g.seen <= 2
+	g.inflight++
+	g.peak = max(g.peak, g.inflight)
+	if g.inflight == 2 {
+		g.open.Do(func() { close(g.both) })
+	}
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.inflight--
+		g.mu.Unlock()
+	}()
+	if gated {
+		select {
+		case <-g.both:
+		case <-time.After(10 * time.Second):
+			g.timedOut.Store(true) // fail the test, but let the sweep finish
+		}
+	}
+	g.inner.ServeHTTP(w, r)
+}
+
+// TestSlowPingingPeerStillPullsTwoShards: probe latency does not throttle a
+// peer. After a probe round in which one worker answers pings far slower than
+// the other, both still hold two shards in flight at once, and the merged
+// sweep is the single-process one.
+func TestSlowPingingPeerStillPullsTwoShards(t *testing.T) {
+	space := testSpace()
+	kernels, names := testKernels(t)
+	const budget = 160.0
+	want := dse.Explore(space, kernels, budget, 0)
+
+	fast, slow := newGatedWorker(0), newGatedWorker(50*time.Millisecond)
+	fastSrv, slowSrv := httptest.NewServer(fast), httptest.NewServer(slow)
+	t.Cleanup(fastSrv.Close)
+	t.Cleanup(slowSrv.Close)
+
+	reg := obs.NewRegistry()
+	p := NewProber([]string{fastSrv.URL, slowSrv.URL}, time.Hour, reg)
+	p.probeRound(context.Background())
+	if len(p.Healthy()) != 2 || reg.Counter("cluster.probe_success").Value() != 2 {
+		t.Fatalf("probe round: healthy = %v", p.Healthy())
+	}
+	c := NewCoordinator([]string{fastSrv.URL, slowSrv.URL}, reg)
+	c.SetProber(p)
+	got, err := c.Explore(context.Background(), space, kernels, names, budget, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sharded Outcome differs from the single-process sweep")
+	}
+	for name, g := range map[string]*gatedWorker{"fast": fast, "slow": slow} {
+		g.mu.Lock()
+		peak := g.peak
+		g.mu.Unlock()
+		if g.timedOut.Load() || peak < 2 {
+			t.Errorf("%s peer: peak concurrent shards = %d, want 2 (gate timed out: %v)", name, peak, g.timedOut.Load())
+		}
 	}
 }

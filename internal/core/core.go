@@ -104,10 +104,9 @@ func SimulatePerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options) PerfPhas
 }
 
 // SimulateFromPerf completes a simulation from a precomputed phase: the
-// selected power optimizations and the result roll-up. Simulate(cfg, k, opt)
-// is exactly SimulateFromPerf(cfg, k, opt, SimulatePerf(cfg, k, opt)) — the
-// same operations in the same order, so replaying a cached phase is
-// bit-identical to a fresh simulation.
+// selected power optimizations and the result roll-up. Simulate is these two
+// phases back to back, so replaying a cached phase is bit-identical to a
+// fresh simulation.
 func SimulateFromPerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options, pp PerfPhase) Result {
 	pb := powopt.Apply(pp.BasePower, k, cfg.GPUFreqMHz(), opt.Optimizations)
 
@@ -129,48 +128,10 @@ func SimulateFromPerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options, pp P
 	return res
 }
 
-// Simulate runs the high-level model. It is observationally identical to
-// SimulateFromPerf(cfg, k, opt, SimulatePerf(cfg, k, opt)) — the split-phase
-// test pins the equivalence bit-for-bit — but runs inline so the hot single
-// -simulation path does not copy a PerfPhase (with its embedded power
-// breakdown) through two call boundaries.
+// Simulate runs the high-level model: the optimization-independent phase,
+// then the optimizations and roll-up.
 func Simulate(cfg *arch.NodeConfig, k workload.Kernel, opt Options) Result {
-	miss := opt.MissFrac
-	if opt.UseAppExtTraffic {
-		miss = memsys.MissFrac(cfg, k, opt.Policy)
-	}
-	env := memsys.Env(cfg, k, miss)
-	pr := perf.Estimate(cfg, k, env)
-	remote := (1 - k.CacheLocality) * float64(arch.GPUChipletCount-1) / float64(arch.GPUChipletCount)
-	d := power.Demand{
-		Activity:       k.Activity,
-		BusyFrac:       1,
-		TrafficTBps:    pr.TrafficTBps,
-		ExtTrafficTBps: pr.TrafficTBps * miss,
-		ExtWriteFrac:   k.WriteFrac,
-		RemoteFrac:     remote,
-		CPUActivity:    0.10 + k.SerialFrac*20,
-		TempC:          opt.TempC,
-	}
-	pb := power.Compute(cfg, d)
-	pb = powopt.Apply(pb, k, cfg.GPUFreqMHz(), opt.Optimizations)
-
-	res := Result{
-		Config:   cfg,
-		Kernel:   k,
-		Perf:     pr,
-		Power:    pb,
-		MissFrac: miss,
-	}
-	if opt.ExcludeExternal {
-		res.NodeW = pb.PackageW()
-	} else {
-		res.NodeW = pb.Total()
-	}
-	if res.NodeW > 0 {
-		res.GFperW = pr.TFLOPs * 1000 / res.NodeW
-	}
-	return res
+	return SimulateFromPerf(cfg, k, opt, SimulatePerf(cfg, k, opt))
 }
 
 // SimulateContext is Simulate with cooperative cancellation: it returns

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -286,22 +285,6 @@ type Snapshot struct {
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Names returns the union of metric names in the snapshot, sorted.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Snapshot copies the current value of every metric. Concurrent writers may
 // land before or after the copy per metric; each individual metric is read
 // atomically. A nil registry yields an empty snapshot.
@@ -346,35 +329,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteText writes the snapshot as sorted plaintext, one metric per line —
-// the format of the service layer's GET /v1/metrics endpoint, greppable
-// straight from curl:
-//
-//	counter service.cache.hits 42
-//	gauge service.cache.hit_ratio 0.93
-//	hist service.http.latency_ns count=9 mean=1.1e+06 p50=9.8e+05 p99=3.2e+06 max=3.4e+06
-func (s Snapshot) WriteText(w io.Writer) error {
-	for _, n := range s.Names() {
-		if v, ok := s.Counters[n]; ok {
-			if _, err := fmt.Fprintf(w, "counter %s %d\n", n, v); err != nil {
-				return err
-			}
-		}
-		if v, ok := s.Gauges[n]; ok {
-			if _, err := fmt.Fprintf(w, "gauge %s %g\n", n, v); err != nil {
-				return err
-			}
-		}
-		if h, ok := s.Histograms[n]; ok {
-			if _, err := fmt.Fprintf(w, "hist %s count=%d mean=%g p50=%g p99=%g max=%g\n",
-				n, h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Reset zeroes every metric while keeping the handles valid, so cached

@@ -14,12 +14,10 @@
 //	POST /v1/scale               async machine-scale fabric projection (202 + job id)
 //	GET  /v1/jobs/{id}           job status/result polling
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
-//	POST /v1/jobs/{id}/cancel    the same cancel, for clients without DELETE
 //	GET  /v1/experiments         list paper artifacts
 //	GET  /v1/experiments/{id}    run one table/figure harness, cached
 //	GET  /v1/kernels             the Table I workload suite
 //	GET  /metrics                obs registry snapshot (JSON)
-//	GET  /v1/metrics             the same registry as plain text, one metric a line
 //	GET  /healthz                liveness
 //	GET  /v1/healthz             readiness: 503 while draining
 //	/v1/internal/...             peer shard evaluation, ping and job summary
@@ -325,7 +323,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", s.handleReadyz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/metrics", s.instrument("metrics", s.handleMetricsText))
 	s.mux.Handle("/v1/internal/", cluster.WorkerHandlerDelay(s.reg, s.cfg.EvalDelay))
 	// The jobs summary is more specific than the shard subtree, so it wins
 	// the mux match; every replica answers it (empty without a journal), so
@@ -339,7 +336,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/scale", s.instrument("scale", s.handleScale))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs.get", s.handleJobGet))
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs.cancel", s.handleJobCancel))
-	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.instrument("jobs.cancel", s.handleJobCancel))
 	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments.list", s.handleExperimentList))
 	s.mux.HandleFunc("GET /v1/experiments/{id}", s.instrument("experiments.run", s.handleExperimentRun))
 	s.mux.HandleFunc("GET /v1/kernels", s.instrument("kernels", s.handleKernels))
@@ -501,14 +497,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; nothing useful to send.
 		return
 	}
-}
-
-// handleMetricsText is GET /v1/metrics: the same registry as plaintext, one
-// metric per line — greppable from curl during an incident, no jq needed.
-func (s *Server) handleMetricsText(w http.ResponseWriter, r *http.Request) {
-	s.refreshGauges()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = s.reg.Snapshot().WriteText(w)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {

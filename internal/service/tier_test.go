@@ -307,34 +307,6 @@ func TestReadinessDuringDrain(t *testing.T) {
 	}
 }
 
-// GET /v1/metrics renders the registry as plaintext.
-func TestMetricsTextEndpoint(t *testing.T) {
-	_, ts := newTierServer(t, Config{})
-	c := ts.Client()
-
-	resp, b := doJSON(t, c, "POST", ts.URL+"/v1/simulate", map[string]any{"kernel": "CoMD"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate status = %d: %s", resp.StatusCode, b)
-	}
-	resp, b = doJSON(t, c, "GET", ts.URL+"/v1/metrics", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type = %q, want text/plain", ct)
-	}
-	text := string(b)
-	for _, want := range []string{
-		"counter service.sim.executions 1",
-		"gauge service.cache.hit_ratio",
-		"hist service.http.latency_ns",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("plaintext metrics missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // Worker mode serves only the internal shard routes plus health/metrics.
 func TestWorkerOnlyRoutes(t *testing.T) {
 	_, ts := newTierServer(t, Config{WorkerOnly: true})

@@ -111,17 +111,24 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	c := append([]float64(nil), xs...)
 	sort.Float64s(c)
-	if len(c) == 1 {
-		return c[0], nil
+	return PercentileSorted(c, p), nil
+}
+
+// PercentileSorted is Percentile over a slice already sorted ascending, so
+// several percentiles of one sample cost one sort. sorted must be non-empty
+// and p within 0..100.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 1 {
+		return sorted[0]
 	}
-	rank := p / 100 * float64(len(c)-1)
+	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return c[lo], nil
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // IsMonotonicNonDecreasing reports whether xs never decreases beyond tol.
