@@ -81,13 +81,22 @@ type PerfPhase struct {
 // SimulatePerf runs the optimization-independent phase of the model. The
 // Options fields consumed downstream of the phase (Optimizations,
 // ExcludeExternal) are ignored here by construction.
-func SimulatePerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options) PerfPhase {
+func SimulatePerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options) (pp PerfPhase) {
+	simulatePerf(&pp, cfg, &k, &opt)
+	return pp
+}
+
+// simulatePerf is SimulatePerf writing into pp. The phase and its inputs go
+// by pointer: PerfPhase is 168 bytes and Kernel 152, and copying them across
+// every call boundary of the split phases costs as much as the roll-up.
+func simulatePerf(pp *PerfPhase, cfg *arch.NodeConfig, k *workload.Kernel, opt *Options) {
 	miss := opt.MissFrac
 	if opt.UseAppExtTraffic {
-		miss = memsys.MissFrac(cfg, k, opt.Policy)
+		miss = memsys.MissFrac(cfg, *k, opt.Policy)
 	}
-	env := memsys.Env(cfg, k, miss)
-	pp := PerfPhase{MissFrac: miss, Perf: perf.Estimate(cfg, k, env)}
+	env := memsys.Env(cfg, *k, miss)
+	pp.MissFrac = miss
+	pp.Perf = perf.Estimate(cfg, *k, env)
 	remote := (1 - k.CacheLocality) * float64(arch.GPUChipletCount-1) / float64(arch.GPUChipletCount)
 	d := power.Demand{
 		Activity:       k.Activity,
@@ -100,7 +109,6 @@ func SimulatePerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options) PerfPhas
 		TempC:          opt.TempC,
 	}
 	pp.BasePower = power.Compute(cfg, d)
-	return pp
 }
 
 // SimulateFromPerf completes a simulation from a precomputed phase: the
@@ -108,30 +116,40 @@ func SimulatePerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options) PerfPhas
 // phases back to back, so replaying a cached phase is bit-identical to a
 // fresh simulation.
 func SimulateFromPerf(cfg *arch.NodeConfig, k workload.Kernel, opt Options, pp PerfPhase) Result {
-	pb := powopt.Apply(pp.BasePower, k, cfg.GPUFreqMHz(), opt.Optimizations)
+	return pp.Complete(cfg, k, opt)
+}
 
-	res := Result{
-		Config:   cfg,
-		Kernel:   k,
-		Perf:     pp.Perf,
-		Power:    pb,
-		MissFrac: pp.MissFrac,
-	}
+// Complete is SimulateFromPerf on a phase held by pointer, so that replaying
+// a cached phase does not copy it.
+func (pp *PerfPhase) Complete(cfg *arch.NodeConfig, k workload.Kernel, opt Options) (res Result) {
+	completeFromPerf(&res, cfg, &k, &opt, pp)
+	return res
+}
+
+// completeFromPerf writes SimulateFromPerf's result into res.
+func completeFromPerf(res *Result, cfg *arch.NodeConfig, k *workload.Kernel, opt *Options, pp *PerfPhase) {
+	res.Config = cfg
+	res.Kernel = *k
+	res.Perf = pp.Perf
+	res.Power = powopt.Apply(pp.BasePower, *k, cfg.GPUFreqMHz(), opt.Optimizations)
+	res.MissFrac = pp.MissFrac
 	if opt.ExcludeExternal {
-		res.NodeW = pb.PackageW()
+		res.NodeW = res.Power.PackageW()
 	} else {
-		res.NodeW = pb.Total()
+		res.NodeW = res.Power.Total()
 	}
 	if res.NodeW > 0 {
 		res.GFperW = pp.Perf.TFLOPs * 1000 / res.NodeW
 	}
-	return res
 }
 
 // Simulate runs the high-level model: the optimization-independent phase,
 // then the optimizations and roll-up.
-func Simulate(cfg *arch.NodeConfig, k workload.Kernel, opt Options) Result {
-	return SimulateFromPerf(cfg, k, opt, SimulatePerf(cfg, k, opt))
+func Simulate(cfg *arch.NodeConfig, k workload.Kernel, opt Options) (res Result) {
+	var pp PerfPhase
+	simulatePerf(&pp, cfg, &k, &opt)
+	completeFromPerf(&res, cfg, &k, &opt, &pp)
+	return res
 }
 
 // SimulateContext is Simulate with cooperative cancellation: it returns

@@ -672,16 +672,18 @@ func evaluateConfigCtx(ctx context.Context, cfg *arch.NodeConfig, p Point, kerne
 			e.FeasibleAll = false
 			return e, nil, n
 		}
-		var pp core.PerfPhase
-		if cachedRow != nil {
-			pp = cachedRow[i]
-		} else {
-			pp = core.SimulatePerf(cfg, k, simOpt)
-			if row != nil {
-				row[i] = pp
-			}
+		var pp *core.PerfPhase
+		switch {
+		case cachedRow != nil:
+			pp = &cachedRow[i]
+		case row != nil:
+			pp = &row[i]
+			*pp = core.SimulatePerf(cfg, k, simOpt)
+		default:
+			fresh := core.SimulatePerf(cfg, k, simOpt)
+			pp = &fresh
 		}
-		r := core.SimulateFromPerf(cfg, k, simOpt, pp)
+		r := pp.Complete(cfg, k, simOpt)
 		n++
 		e.PerfTFLOPs[i] = r.Perf.TFLOPs
 		e.BudgetW[i] = r.Power.PackageW() + r.Power.ExtStatic + r.Power.SerDesStatic

@@ -323,7 +323,12 @@ func oneRequest(ctx context.Context, client *http.Client, url string, body []byt
 	var sr struct {
 		Cached bool `json:"cached"`
 	}
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sr)
+	rd := io.LimitReader(resp.Body, 1<<20)
+	_ = json.NewDecoder(rd).Decode(&sr)
+	// The decoder stops at the end of the value, which may leave the
+	// encoder's trailing newline unread; a body closed before EOF costs the
+	// client its keep-alive connection.
+	io.Copy(io.Discard, rd)
 	resp.Body.Close()
 	rec.record(float64(time.Since(t0).Nanoseconds())/1e6, resp.StatusCode, sr.Cached)
 	return nil

@@ -3,6 +3,8 @@ package load
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -78,6 +80,46 @@ func TestClosedLoopAgainstService(t *testing.T) {
 	// A small hot pool against the result cache: most requests coalesce.
 	if rep.Stages[1].Cached == 0 {
 		t.Error("no cached serves despite an 8-key pool; cache layering broken?")
+	}
+}
+
+// TestClosedLoopReusesConnections: each closed-loop client keeps its
+// keep-alive connection for a whole stage. The stub's body is a JSON value
+// followed by a long whitespace run, so the client's decoder stops well
+// before EOF; closing the body there would cost a fresh dial per request.
+// The bound allows one spare dial per client: while the clients start up,
+// the transport may race a dial against a connection about to turn idle.
+func TestClosedLoopReusesConnections(t *testing.T) {
+	const clients = 2
+	var dials atomic.Int64
+	stub := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"cached": true}` + strings.Repeat(" ", 4096) + "\n"))
+	}))
+	stub.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	stub.Start()
+	defer stub.Close()
+
+	rep, err := Run(context.Background(), Config{
+		BaseURL: stub.URL,
+		Mode:    Closed,
+		Stages:  []Stage{{Concurrency: clients, Duration: 200 * time.Millisecond}},
+		Client:  stub.Client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Stages[0]
+	if st.OK < 20*clients || st.Cached != st.OK {
+		t.Fatalf("stage saw too little traffic or misread the bodies: %+v", st)
+	}
+	if d := dials.Load(); d > 2*clients {
+		t.Fatalf("%d connections for %d clients over %d requests, want at most %d", d, clients, st.Requests, 2*clients)
 	}
 }
 

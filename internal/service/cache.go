@@ -127,7 +127,9 @@ func (c *Cache) Get(key string) (any, bool) {
 //
 // With a persistent store set, a memory miss first consults the store
 // (decode maps the stored JSON back to the value type the call site caches),
-// and a fresh execution writes its result through. A store serve counts as
+// and a fresh execution writes its result through: a []byte result is the
+// blob itself, so the memory cache and the store hold the same bytes, and
+// any other result is stored as its JSON. A store serve counts as
 // shared — the caller got a result computed elsewhere (an earlier process,
 // or another replica on the same directory). A blob that no longer decodes
 // (an older build's shape) is recomputed and overwritten, never an error.
@@ -191,7 +193,12 @@ func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (
 		c.misses.Inc()
 		f.val, f.err = fn()
 		if f.err == nil && c.store != nil {
-			if b, err := json.Marshal(f.val); err != nil {
+			b, isBlob := f.val.([]byte)
+			var err error
+			if !isBlob {
+				b, err = json.Marshal(f.val)
+			}
+			if err != nil {
 				c.marshalErrors.Inc()
 				f.val, f.err = nil, fmt.Errorf("service: encode result for the store: %w", err)
 			} else {

@@ -126,11 +126,8 @@ func TestCacheSingleflight(t *testing.T) {
 			}
 		}(i)
 	}
-	// Wait until the flight exists and followers are queued, then release.
-	for execs.Load() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	time.Sleep(time.Millisecond)
+	// Release the flight once every follower has joined it.
+	waitCoalesced(t, c, clients-1)
 	close(gate)
 	wg.Wait()
 
@@ -150,8 +147,21 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
+// waitCoalesced blocks until n callers have joined another caller's flight,
+// as the cache's coalesced counter records, and fails the test after 10 s.
+func waitCoalesced(t *testing.T, c *Cache, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.coalesced.Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers joined the flight after 10s, want %d", c.coalesced.Value(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
 func TestCacheWaiterCancellation(t *testing.T) {
-	c := NewCache(8, nil)
+	c := NewCache(8, obs.NewRegistry())
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go c.DoPersist(context.Background(), "slow", nil, func() (any, error) {
@@ -167,7 +177,7 @@ func TestCacheWaiterCancellation(t *testing.T) {
 		_, _, err := c.DoPersist(ctx, "slow", nil, func() (any, error) { return 2, nil })
 		done <- err
 	}()
-	time.Sleep(time.Millisecond)
+	waitCoalesced(t, c, 1) // cancel a follower that is waiting, not one still arriving
 	cancel()
 	select {
 	case err := <-done:

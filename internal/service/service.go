@@ -409,16 +409,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := encodeJSON(buf, v); err != nil {
 		buf.Reset()
 		code = http.StatusInternalServerError
-		enc.Encode(map[string]string{"error": "service: encoding the response: " + err.Error()})
+		encodeJSON(buf, map[string]string{"error": encodeErr(err).Error()})
 	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// encodeJSON appends v in the wire format of every JSON reply: two-space
+// indent and a trailing newline.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// encodeErr is the error of a reply that does not encode.
+func encodeErr(err error) error {
+	return fmt.Errorf("service: encoding the response: %w", err)
+}
+
+// writeBody sends an already encoded JSON reply.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -511,10 +527,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
+	resident := s.cache.Contains(job.key)
+	// A resident key has executed, so its node is valid and a hit never
+	// builds it. A request that may execute builds it before admission, so
+	// an invalid node is still a 400; the detailed phase always needs it.
+	if !resident || job.detailed {
+		if err := job.node(); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+	}
 	// Admission: a key already resident or in flight coalesces onto the
 	// cache/singleflight without occupying a slot — N clients asking for
 	// the same popular result cost one execution and zero queueing.
-	if s.cache.Contains(job.key) {
+	if resident {
 		s.admitSkips.Inc()
 	} else {
 		release, err := s.admitSim.acquire(ctx)
@@ -530,7 +556,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			release()
 		}()
 	}
-	val, shared, err := s.cache.DoPersist(ctx, job.key, decodeAs[SimulateResponse], func() (any, error) {
+	// The cache holds the encoded hit body (see encodeHit); fresh is the
+	// answer of the caller that executes, which is not a hit.
+	var fresh SimulateResponse
+	val, shared, err := s.cache.DoPersist(ctx, job.key, decodeHit, func() (any, error) {
+		// The key may have been evicted since Contains said resident.
+		if err := job.node(); err != nil {
+			return nil, err
+		}
 		s.simExecs.Inc()
 		res, err := core.SimulateContext(ctx, job.cfg, job.kernel, job.opt)
 		if err != nil {
@@ -558,7 +591,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Serving = views
 		}
-		return resp, nil
+		fresh = resp
+		return encodeHit(resp)
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -568,12 +602,46 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := val.(SimulateResponse)
-	resp.Cached = shared
-	if job.detailed {
-		s.runDetailed(ctx, &resp, job)
+	if !job.detailed {
+		if shared {
+			writeBody(w, http.StatusOK, val.([]byte))
+		} else {
+			writeJSON(w, http.StatusOK, fresh)
+		}
+		return
 	}
+	resp := fresh
+	if shared {
+		if err := json.Unmarshal(val.([]byte), &resp); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+	}
+	s.runDetailed(ctx, &resp, job)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// encodeHit is a simulate answer in its cached form: the body a hit sends,
+// with "cached": true. The memory cache and the store hold these bytes, so
+// a hit, a coalesced follower and a store read send them without encoding.
+func encodeHit(resp SimulateResponse) ([]byte, error) {
+	resp.Cached = true
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, resp); err != nil {
+		return nil, encodeErr(err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeHit normalises a stored simulate blob to encodeHit's bytes. A blob
+// written before the cache held encoded bodies is compact JSON with
+// "cached": false; re-encoding it sends the same bytes as a fresh hit.
+func decodeHit(b []byte) (any, error) {
+	var resp SimulateResponse
+	if err := json.Unmarshal(b, &resp); err != nil {
+		return nil, err
+	}
+	return encodeHit(resp)
 }
 
 // detailedResult is the cached payload of a detailed-NoC simulate phase.

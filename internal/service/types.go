@@ -146,6 +146,9 @@ const (
 // needs plus the canonical cache keys. inj is nil for a healthy node. The
 // detailed phase has its own key (detailedKey) so a deadline-pressed fallback
 // — which serves the analytic result — never occupies the detailed slot.
+//
+// cfg is nil until node builds it: a healthy request's key needs only the
+// axes, and a cache hit never needs the node.
 type simJob struct {
 	cfg         *arch.NodeConfig
 	view        ConfigView
@@ -275,7 +278,13 @@ func checkAxis(name string, v, lo, hi float64) error {
 
 // resolve validates the request, applies defaults, and derives the canonical
 // cache key. Errors are client errors (HTTP 400).
-func (r SimulateRequest) resolve() (simJob, error) {
+//
+// A healthy request's node is not built here but by simJob.node, and only
+// when the key is not resident. That is safe because cfg.Validate reads
+// only the three axes, which are in the key, and only a successful
+// execution makes a key resident. A fault mask needs the node to resolve
+// its victims, so a masked request builds it here.
+func (r SimulateRequest) resolve() (_ simJob, err error) {
 	if r.CUs == 0 {
 		r.CUs = arch.ProvisionedCUs
 	}
@@ -324,15 +333,26 @@ func (r SimulateRequest) resolve() (simJob, error) {
 	if t := r.Options.TempC; t != 0 && (t < power.MinTempC || t > power.MaxTempC) {
 		return simJob{}, fmt.Errorf("temp_c %v out of [%v, %v] (0 = the %v C reference)", t, power.MinTempC, power.MaxTempC, power.LeakageRefTempC)
 	}
-	cfg := arch.EHP(r.CUs, r.FreqMHz, r.BWTBps)
-	if err := cfg.Validate(); err != nil {
-		return simJob{}, err
-	}
+	// In the error order clients see, the node's validation comes before
+	// every check below, although the node itself is built later.
+	defer func() {
+		if err == nil {
+			return
+		}
+		if nerr := arch.EHP(r.CUs, r.FreqMHz, r.BWTBps).Validate(); nerr != nil {
+			err = nerr
+		}
+	}()
+	var cfg *arch.NodeConfig
 	var inj *faults.Injection
 	var maskStr string
 	if mask, err := faults.ParseMask(r.FaultMask); err != nil {
 		return simJob{}, err
 	} else if !mask.Empty() {
+		cfg = arch.EHP(r.CUs, r.FreqMHz, r.BWTBps)
+		if err := cfg.Validate(); err != nil {
+			return simJob{}, err
+		}
 		inj, err = faults.Apply(cfg, mask, r.Seed)
 		if err != nil {
 			return simJob{}, err
@@ -428,6 +448,19 @@ func (r SimulateRequest) resolve() (simJob, error) {
 		job.detailedKey = hashCanon(canon)
 	}
 	return job, nil
+}
+
+// node builds and validates the job's node if resolve deferred it.
+func (j *simJob) node() error {
+	if j.cfg != nil {
+		return nil
+	}
+	cfg := arch.EHP(j.view.CUs, j.view.FreqMHz, j.view.BWTBps)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	j.cfg = cfg
+	return nil
 }
 
 // ExploreRequest is the body of POST /v1/explore. Empty grids default to the

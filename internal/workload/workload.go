@@ -190,12 +190,19 @@ func Suite() []Kernel {
 	}
 }
 
+// suiteByName indexes Suite once, so that ByName does not rebuild it.
+var suiteByName = func() map[string]Kernel {
+	m := make(map[string]Kernel)
+	for _, k := range Suite() {
+		m[k.Name] = k
+	}
+	return m
+}()
+
 // ByName returns the kernel with the given name from Suite.
 func ByName(name string) (Kernel, error) {
-	for _, k := range Suite() {
-		if k.Name == name {
-			return k, nil
-		}
+	if k, ok := suiteByName[name]; ok {
+		return k, nil
 	}
 	return Kernel{}, fmt.Errorf("workload: unknown kernel %q", name)
 }
