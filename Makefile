@@ -67,13 +67,11 @@ test-workload:
 	go test -race ./internal/workload/ ./internal/serving/
 
 # Chaos suite: the service layer under the race detector with fault
-# injection on — injected panics, transient failures, cancelled clients under
+# injection on — injected panics, latency and stalls, cancelled clients under
 # overload, and deadline fallbacks must all be survived, not just tolerated.
-# The fabric line covers the link-flap injection site in the collective replay.
 chaos-short:
 	go test -race -run='Chaos|Overload|Fault|CacheEviction|CacheInflight' ./internal/service/
 	go test -run='Apply|Surface|Chaos' ./internal/faults/
-	go test -run='Chaos' ./internal/fabric/
 
 # Short fuzz pass over the compression codec (round-trip + ratio bounds),
 # the fault-mask parser, the DL spec / batch-list / space-spec parsers

@@ -428,7 +428,7 @@ func BenchmarkFabricReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Replay(fabric.AllToAll, 1<<16, nil); err != nil {
+		if _, err := c.Replay(fabric.AllToAll, 1<<16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,7 +59,7 @@ func run(args []string) int {
 	cacheSize := fs.Int("cache", service.DefaultCacheSize, "result-cache capacity (entries)")
 	jobTimeout := fs.Duration("job-timeout", 10*time.Minute, "default per-job deadline (0 = none)")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period before force-cancelling jobs")
-	chaos := fs.Bool("chaos", false, "inject runtime faults (worker panics, transient failures, latency, stalls, cache corruption)")
+	chaos := fs.Bool("chaos", false, "inject runtime faults (worker panics, request latency, job stalls)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the chaos injector's draws")
 	storeDir := fs.String("store-dir", "", "persistent result-store directory (empty = memory cache only)")
 	storeMB := fs.Int64("store-max-mb", 256, "result-store size cap in MiB before LRU garbage collection")

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"ena/internal/faults"
 )
 
 // testTopologies builds the cross-product of shapes the property tests run
@@ -75,7 +73,7 @@ func TestAnalyticMatchesReplayExact(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: analytic: %v", name, err)
 					}
-					re, err := c.Replay(op, bytes, nil)
+					re, err := c.Replay(op, bytes)
 					if err != nil {
 						t.Fatalf("%s: replay: %v", name, err)
 					}
@@ -112,7 +110,7 @@ func TestAnalyticHaloIndirectPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				re, err := c.Replay(Halo, bytes, nil)
+				re, err := c.Replay(Halo, bytes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +179,7 @@ func TestDegradedAnalyticMatchesReplay(t *testing.T) {
 			if err != nil || an2 != an {
 				t.Fatalf("%s: analytic not deterministic: %g vs %g (%v)", name, an, an2, err)
 			}
-			re, err := degraded.Replay(op, 1<<20, nil)
+			re, err := degraded.Replay(op, 1<<20)
 			if err != nil {
 				t.Fatalf("%s: replay: %v", name, err)
 			}
@@ -208,7 +206,7 @@ func TestDegradedAnalyticMatchesReplay(t *testing.T) {
 }
 
 // TestReplayDeterministic: two replays of the same collective are
-// bit-identical, including under chaos with the same seed.
+// bit-identical.
 func TestReplayDeterministic(t *testing.T) {
 	spec := DefaultLinkSpec()
 	tor, err := NewTorus(4, 4, 2, spec)
@@ -217,28 +215,16 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 	c := NewComm(tor)
 	for _, op := range []Op{AllReduceRing, AllReduceTree, Halo, AllToAll} {
-		a, err := c.Replay(op, 1<<16, nil)
+		a, err := c.Replay(op, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := c.Replay(op, 1<<16, nil)
+		b, err := c.Replay(op, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a != b {
 			t.Errorf("%s: replay not deterministic: %+v vs %+v", op, a, b)
-		}
-		cfg := faults.ChaosConfig{Seed: 42, LinkFlapProb: 0.1}
-		a, err = c.Replay(op, 1<<16, faults.NewChaos(cfg, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err = c.Replay(op, 1<<16, faults.NewChaos(cfg, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("%s: chaos replay not deterministic: %+v vs %+v", op, a, b)
 		}
 	}
 }
@@ -254,7 +240,7 @@ func TestIdealFabricIsFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := c.Replay(op, 1<<24, nil)
+			re, err := c.Replay(op, 1<<24)
 			if err != nil {
 				t.Fatal(err)
 			}

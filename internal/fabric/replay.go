@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"ena/internal/event"
-	"ena/internal/faults"
-)
+import "ena/internal/event"
 
 // ReplayResult summarizes a brute-force collective replay.
 type ReplayResult struct {
@@ -12,9 +9,6 @@ type ReplayResult struct {
 	// Messages and Hops count the individual transfers executed.
 	Messages int
 	Hops     int
-	// Retransmits counts chaos link flaps; each one doubled a hop's
-	// serialization time (the transfer was sent twice).
-	Retransmits int
 }
 
 // flight is one in-flight message walking its route hop by hop on the
@@ -28,7 +22,6 @@ type flight struct {
 	links []int
 	hop   int
 	bytes float64
-	chaos *faults.Chaos
 	res   *ReplayResult
 	fin   *float64 // running max completion time of the round
 }
@@ -41,10 +34,6 @@ func (f *flight) step() {
 		start = f.free[l]
 	}
 	ser := sp.serNs(f.bytes, f.c.t.LinkBW(l))
-	if f.chaos.LinkFlap() {
-		ser *= 2
-		f.res.Retransmits++
-	}
 	f.free[l] = start + ser
 	arrive := start + ser + sp.latNs()
 	f.res.Hops++
@@ -62,11 +51,9 @@ func (f *flight) step() {
 // returns the measured cost: the ground truth the analytic model is pinned
 // against. Rounds are barrier-synchronized — each starts when the previous
 // one's slowest message has arrived — and repeated ring rounds are replayed
-// individually (under chaos each repetition flaps differently). chaos may
-// be nil; when set, its LinkFlapProb draws inject per-hop retransmissions.
-// Cost is O(total hops) events, so keep node counts small (the property
+// individually. Cost is O(total hops) events, so keep node counts small (the property
 // tests stop at 64); the analytic model is the large-scale path.
-func (c *Comm) Replay(op Op, bytes float64, chaos *faults.Chaos) (ReplayResult, error) {
+func (c *Comm) Replay(op Op, bytes float64) (ReplayResult, error) {
 	var res ReplayResult
 	if c.Size() < 2 {
 		return res, nil
@@ -94,7 +81,7 @@ func (c *Comm) Replay(op Op, bytes float64, chaos *faults.Chaos) (ReplayResult, 
 			}
 			flights = append(flights, flight{
 				c: c, s: s, free: free, links: routes[start:len(routes):len(routes)],
-				bytes: r.msgBytes(bytes), chaos: chaos, res: &res,
+				bytes: r.msgBytes(bytes), res: &res,
 			})
 		}
 		for rep := 0; rep < r.repeat; rep++ {

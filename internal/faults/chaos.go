@@ -2,41 +2,12 @@ package faults
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
 	"ena/internal/obs"
 )
-
-// ErrInjected is the base of every chaos-injected failure; errors.Is on it
-// identifies synthetic faults in logs and tests.
-var ErrInjected = errors.New("faults: injected")
-
-// transientErr marks an error as retry-worthy: the failure is expected to
-// clear on its own (an injected fault, a transient resource shortage), so
-// the scheduler's backoff-retry loop may re-run the job.
-type transientErr struct{ err error }
-
-func (t transientErr) Error() string { return t.err.Error() }
-func (t transientErr) Unwrap() error { return t.err }
-
-// Transient wraps err so IsTransient reports true (nil stays nil).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientErr{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// retryable via Transient.
-func IsTransient(err error) bool {
-	var t transientErr
-	return errors.As(err, &t)
-}
 
 // ChaosConfig tunes the runtime fault injector. Zero probabilities disable
 // the corresponding injection site; the zero value injects nothing.
@@ -45,9 +16,6 @@ type ChaosConfig struct {
 	Seed int64
 	// PanicProb is the probability a job's worker panics at job start.
 	PanicProb float64
-	// FailProb is the probability a job fails with an injected transient
-	// error (exercises the retry path).
-	FailProb float64
 	// LatencyProb/MaxLatency inject up to MaxLatency of artificial delay
 	// into HTTP request handling.
 	LatencyProb float64
@@ -56,14 +24,6 @@ type ChaosConfig struct {
 	// before the job runs (exercises deadline handling).
 	StallProb float64
 	MaxStall  time.Duration
-	// CacheCorruptProb is the probability a cache hit is treated as
-	// corrupted: the entry is evicted and recomputed (exercises the
-	// read-repair path).
-	CacheCorruptProb float64
-	// LinkFlapProb is the per-hop probability a fabric link flaps during a
-	// message transfer: the hop's payload is retransmitted once, doubling
-	// its serialization time (exercises the inter-node replay path).
-	LinkFlapProb float64
 }
 
 // DefaultChaosConfig is a modest all-sites profile for chaos test runs:
@@ -71,15 +31,12 @@ type ChaosConfig struct {
 // service (used by `make chaos-short` and the -chaos flag of enaserve).
 func DefaultChaosConfig(seed int64) ChaosConfig {
 	return ChaosConfig{
-		Seed:             seed,
-		PanicProb:        0.05,
-		FailProb:         0.10,
-		LatencyProb:      0.20,
-		MaxLatency:       5 * time.Millisecond,
-		StallProb:        0.05,
-		MaxStall:         5 * time.Millisecond,
-		CacheCorruptProb: 0.10,
-		LinkFlapProb:     0.02,
+		Seed:        seed,
+		PanicProb:   0.05,
+		LatencyProb: 0.20,
+		MaxLatency:  5 * time.Millisecond,
+		StallProb:   0.05,
+		MaxStall:    5 * time.Millisecond,
 	}
 }
 
@@ -93,25 +50,19 @@ type Chaos struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	panics      *obs.Counter
-	transients  *obs.Counter
-	latencies   *obs.Counter
-	stalls      *obs.Counter
-	corruptions *obs.Counter
-	flaps       *obs.Counter
+	panics    *obs.Counter
+	latencies *obs.Counter
+	stalls    *obs.Counter
 }
 
 // NewChaos builds an injector. reg may be nil (counters become no-ops).
 func NewChaos(cfg ChaosConfig, reg *obs.Registry) *Chaos {
 	return &Chaos{
-		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		panics:      reg.Counter("faults.chaos.panics"),
-		transients:  reg.Counter("faults.chaos.transients"),
-		latencies:   reg.Counter("faults.chaos.latencies"),
-		stalls:      reg.Counter("faults.chaos.stalls"),
-		corruptions: reg.Counter("faults.chaos.cache_corruptions"),
-		flaps:       reg.Counter("faults.chaos.link_flaps"),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		panics:    reg.Counter("faults.chaos.panics"),
+		latencies: reg.Counter("faults.chaos.latencies"),
+		stalls:    reg.Counter("faults.chaos.stalls"),
 	}
 }
 
@@ -134,76 +85,44 @@ func (c *Chaos) ShouldPanic() bool {
 	return true
 }
 
-// TransientFailure returns an injected retryable error, or nil.
-func (c *Chaos) TransientFailure() error {
-	if c == nil || c.cfg.FailProb <= 0 {
-		return nil
-	}
-	if c.draw() >= c.cfg.FailProb {
-		return nil
-	}
-	c.transients.Inc()
-	return Transient(fmt.Errorf("%w transient failure", ErrInjected))
-}
-
 // Latency returns an artificial delay to add to request handling (0 = none).
 func (c *Chaos) Latency() time.Duration {
-	if c == nil || c.cfg.LatencyProb <= 0 || c.cfg.MaxLatency <= 0 {
+	if c == nil {
 		return 0
 	}
-	if c.draw() >= c.cfg.LatencyProb {
-		return 0
-	}
-	c.mu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(c.cfg.MaxLatency))) + 1
-	c.mu.Unlock()
-	c.latencies.Inc()
-	return d
+	return c.delay(c.cfg.LatencyProb, c.cfg.MaxLatency, c.latencies)
 }
 
 // Stall blocks for up to MaxStall (or until ctx ends) when the stall site
 // fires, simulating a hung dependency in front of job execution.
 func (c *Chaos) Stall(ctx context.Context) {
-	if c == nil || c.cfg.StallProb <= 0 || c.cfg.MaxStall <= 0 {
+	if c == nil {
 		return
 	}
-	if c.draw() >= c.cfg.StallProb {
-		return
+	if d := c.delay(c.cfg.StallProb, c.cfg.MaxStall, c.stalls); d > 0 {
+		Wait(ctx, d)
+	}
+}
+
+// delay draws a site firing with probability prob and, when it fires,
+// counts it in ctr and returns a delay in (0, max]; otherwise 0.
+func (c *Chaos) delay(prob float64, max time.Duration, ctr *obs.Counter) time.Duration {
+	if prob <= 0 || max <= 0 || c.draw() >= prob {
+		return 0
 	}
 	c.mu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(c.cfg.MaxStall))) + 1
+	d := time.Duration(c.rng.Int63n(int64(max))) + 1
 	c.mu.Unlock()
-	c.stalls.Inc()
+	ctr.Inc()
+	return d
+}
+
+// Wait blocks for d or until ctx ends, whichever comes first.
+func Wait(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-ctx.Done():
 	}
-}
-
-// LinkFlap reports whether a fabric link flaps during the current hop,
-// forcing one retransmission of the hop's payload (counted).
-func (c *Chaos) LinkFlap() bool {
-	if c == nil || c.cfg.LinkFlapProb <= 0 {
-		return false
-	}
-	if c.draw() >= c.cfg.LinkFlapProb {
-		return false
-	}
-	c.flaps.Inc()
-	return true
-}
-
-// CorruptCache reports whether a cache hit should be treated as corrupted
-// (evict and recompute).
-func (c *Chaos) CorruptCache() bool {
-	if c == nil || c.cfg.CacheCorruptProb <= 0 {
-		return false
-	}
-	if c.draw() >= c.cfg.CacheCorruptProb {
-		return false
-	}
-	c.corruptions.Inc()
-	return true
 }

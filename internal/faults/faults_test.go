@@ -2,7 +2,6 @@ package faults
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -270,7 +269,7 @@ func TestResilienceSurfaceDetailedLinkFaults(t *testing.T) {
 
 func TestChaosDisabledNil(t *testing.T) {
 	var c *Chaos
-	if c.ShouldPanic() || c.TransientFailure() != nil || c.Latency() != 0 || c.CorruptCache() {
+	if c.ShouldPanic() || c.Latency() != 0 {
 		t.Error("nil chaos must inject nothing")
 	}
 	c.Stall(context.Background()) // must not panic
@@ -278,43 +277,19 @@ func TestChaosDisabledNil(t *testing.T) {
 
 func TestChaosInjectsAndCounts(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewChaos(ChaosConfig{Seed: 1, PanicProb: 1, FailProb: 1, LatencyProb: 1,
-		MaxLatency: time.Microsecond, StallProb: 1, MaxStall: time.Microsecond, CacheCorruptProb: 1}, reg)
+	c := NewChaos(ChaosConfig{Seed: 1, PanicProb: 1, LatencyProb: 1,
+		MaxLatency: time.Microsecond, StallProb: 1, MaxStall: time.Microsecond}, reg)
 	if !c.ShouldPanic() {
 		t.Error("prob 1 must fire")
-	}
-	err := c.TransientFailure()
-	if err == nil || !IsTransient(err) {
-		t.Errorf("want transient injected error, got %v", err)
 	}
 	if c.Latency() <= 0 {
 		t.Error("latency injection must fire")
 	}
-	if !c.CorruptCache() {
-		t.Error("corruption must fire")
-	}
 	c.Stall(context.Background())
-	for _, name := range []string{"faults.chaos.panics", "faults.chaos.transients",
-		"faults.chaos.latencies", "faults.chaos.stalls", "faults.chaos.cache_corruptions"} {
+	for _, name := range []string{"faults.chaos.panics",
+		"faults.chaos.latencies", "faults.chaos.stalls"} {
 		if reg.Counter(name).Value() == 0 {
 			t.Errorf("counter %s not incremented", name)
 		}
-	}
-}
-
-func TestTransientWrapping(t *testing.T) {
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) must stay nil")
-	}
-	base := context.DeadlineExceeded
-	w := Transient(base)
-	if !IsTransient(w) {
-		t.Error("wrapped error must be transient")
-	}
-	if !errors.Is(w, base) {
-		t.Error("wrapping must preserve the cause")
-	}
-	if IsTransient(base) {
-		t.Error("unwrapped error must not be transient")
 	}
 }

@@ -3,7 +3,7 @@
 // stacks, CPU chiplets, external-memory modules, NoC links) re-simulated to
 // produce degraded-mode performance/power deltas, plus a runtime chaos
 // injector for the service layer (worker panics, artificial latency,
-// transient failures, context stalls, cache corruption).
+// context stalls).
 //
 // The paper's exascale node only makes sense under failure (§VII): with
 // ~100,000 nodes, component faults are continuous background events, and the

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 
-	"ena/internal/faults"
 	"ena/internal/lru"
 	"ena/internal/obs"
 	"ena/internal/store"
@@ -25,11 +24,6 @@ import (
 // executions singleflight saved). Errors are never cached — a failed
 // execution leaves the slot empty so the next caller retries.
 type Cache struct {
-	// chaos, when set, randomly treats hits as corrupted: the entry is
-	// evicted and recomputed (read repair), exercising the miss path under
-	// load. Set before serving traffic; nil disables.
-	chaos *faults.Chaos
-
 	// store, when set, layers a persistent blob store under the memory
 	// cache: DoPersist reads through to it on memory misses and writes
 	// computed results back, so results survive restarts and are shared by
@@ -149,16 +143,9 @@ func (c *Cache) DoPersist(ctx context.Context, key string, decode func([]byte) (
 	c.mu.Lock()
 	for {
 		if v, ok := c.entries.Get(key); ok {
-			if c.chaos.CorruptCache() {
-				// Injected corruption: drop the entry and fall through to
-				// the miss path so the value is recomputed (read repair).
-				c.entries.Remove(key)
-				c.size.Set(float64(c.entries.Len()))
-			} else {
-				c.hits.Inc()
-				c.mu.Unlock()
-				return v, true, nil
-			}
+			c.hits.Inc()
+			c.mu.Unlock()
+			return v, true, nil
 		}
 		f, ok := c.inflight[key]
 		if !ok {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,9 +49,7 @@ type JobView struct {
 	// Quarantined marks a job whose execution panicked: the request is
 	// isolated (never retried, never re-enqueued) and the worker survived.
 	Quarantined bool `json:"quarantined,omitempty"`
-	// Retries counts transient-failure re-executions this job consumed.
-	Retries int `json:"retries,omitempty"`
-	Result  any `json:"result,omitempty"`
+	Result      any  `json:"result,omitempty"`
 }
 
 type job struct {
@@ -69,7 +66,6 @@ type job struct {
 	err         error
 	result      any
 	quarantined bool
-	retries     int
 	// userCancelled distinguishes an explicit DELETE /v1/jobs/{id} from a
 	// system cancellation (drain deadline, server shutdown): only the latter
 	// is journalled as interrupted — i.e. recoverable — by a durable manager.
@@ -97,7 +93,6 @@ func (j *job) viewLocked() JobView {
 		v.Error = j.err.Error()
 	}
 	v.Quarantined = j.quarantined
-	v.Retries = j.retries
 	if j.state == JobDone {
 		v.Result = j.result
 	}
@@ -153,12 +148,7 @@ type Scheduler struct {
 	recorder     jobRecorder
 	interrupting atomic.Bool
 
-	// Resilience knobs (see SchedOption).
-	chaos     *faults.Chaos
-	retryMax  int
-	retryBase time.Duration
-	jitterMu  sync.Mutex
-	jitter    *mrand.Rand
+	chaos *faults.Chaos // optional runtime fault injector (see WithChaos)
 
 	submitted    *obs.Counter
 	completed    *obs.Counter
@@ -166,7 +156,6 @@ type Scheduler struct {
 	cancelledCtr *obs.Counter
 	rejected     *obs.Counter
 	panicked     *obs.Counter
-	retriesCtr   *obs.Counter
 	runningGauge *obs.Gauge
 	queueGauge   *obs.Gauge
 	durHist      *obs.Histogram
@@ -175,23 +164,11 @@ type Scheduler struct {
 // SchedOption tunes a Scheduler beyond the basic pool sizing.
 type SchedOption func(*Scheduler)
 
-// WithChaos installs a runtime fault injector: jobs may be stalled, fail
-// transiently, or panic at the injector's seeded probabilities — exercising
-// the quarantine/retry machinery this scheduler recovers with.
+// WithChaos installs a runtime fault injector: jobs may be stalled or panic
+// at the injector's seeded probabilities — exercising the deadline handling
+// and the panic quarantine this scheduler recovers with.
 func WithChaos(c *faults.Chaos) SchedOption {
 	return func(s *Scheduler) { s.chaos = c }
-}
-
-// WithRetry sets the transient-failure retry policy: up to max re-executions
-// with exponential backoff starting at base (plus up to 50% jitter). Only
-// errors marked retryable via faults.Transient are retried; panics never are.
-func WithRetry(max int, base time.Duration) SchedOption {
-	return func(s *Scheduler) {
-		s.retryMax = max
-		if base > 0 {
-			s.retryBase = base
-		}
-	}
 }
 
 // WithRecorder installs a job lifecycle observer (see jobRecorder).
@@ -235,15 +212,12 @@ func NewScheduler(ctx context.Context, workers, queueCap, retain int, reg *obs.R
 		queue:        make(chan *job, queueCap),
 		jobs:         make(map[string]*job),
 		retain:       retain,
-		retryBase:    10 * time.Millisecond,
-		jitter:       mrand.New(mrand.NewSource(1)),
 		submitted:    reg.Counter("service.jobs.submitted"),
 		completed:    reg.Counter("service.jobs.completed"),
 		failed:       reg.Counter("service.jobs.failed"),
 		cancelledCtr: reg.Counter("service.jobs.cancelled"),
 		rejected:     reg.Counter("service.jobs.rejected"),
 		panicked:     reg.Counter("service.jobs.panicked"),
-		retriesCtr:   reg.Counter("service.jobs.retries"),
 		runningGauge: reg.Gauge("service.jobs.running"),
 		queueGauge:   reg.Gauge("service.jobs.queued"),
 		durHist:      reg.Histogram("service.jobs.duration_ns", durationBounds),
@@ -512,7 +486,7 @@ func (s *Scheduler) execute(j *job) {
 	s.runningGauge.Set(float64(s.running.Add(1)))
 	s.record(j.id, JobRunning, "", false)
 
-	res, err, retries, quarantined := s.runResilient(ctx, run)
+	res, err, quarantined := s.runGuarded(ctx, run)
 	cancel()
 	s.runningGauge.Set(float64(s.running.Add(-1)))
 
@@ -535,7 +509,6 @@ func (s *Scheduler) execute(j *job) {
 
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.retries = retries
 	j.quarantined = quarantined
 	s.durHist.Observe(float64(j.finished.Sub(j.started)))
 	foldEwma(&s.ewmaNs, j.finished.Sub(j.started))
@@ -555,37 +528,11 @@ func (s *Scheduler) execute(j *job) {
 	j.mu.Unlock()
 }
 
-// runResilient executes a job function with the scheduler's fault handling:
-// a panic is recovered and quarantines the request (the worker survives and
-// the job is never re-run); an error marked via faults.Transient is retried
-// up to retryMax times with exponential backoff plus jitter; the chaos
-// injector, when installed, gets a shot at stalling, failing, or panicking
-// each attempt before the real work runs.
-func (s *Scheduler) runResilient(ctx context.Context, run func(context.Context) (any, error)) (res any, err error, retries int, quarantined bool) {
-	for attempt := 0; ; attempt++ {
-		res, err, quarantined = s.attempt(ctx, run)
-		if err == nil || quarantined || !faults.IsTransient(err) ||
-			attempt >= s.retryMax || ctx.Err() != nil {
-			return res, err, retries, quarantined
-		}
-		retries++
-		s.retriesCtr.Inc()
-		backoff := s.retryBase << attempt
-		s.jitterMu.Lock()
-		backoff += time.Duration(s.jitter.Int63n(int64(backoff)/2 + 1))
-		s.jitterMu.Unlock()
-		t := time.NewTimer(backoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return res, err, retries, quarantined
-		}
-	}
-}
-
-// attempt runs one execution under a panic guard.
-func (s *Scheduler) attempt(ctx context.Context, run func(context.Context) (any, error)) (res any, err error, quarantined bool) {
+// runGuarded executes a job function once under a panic guard: a panic is
+// recovered and quarantines the request (the worker survives and the job is
+// never re-run). The chaos injector, when installed, gets a shot at stalling
+// or panicking before the real work runs.
+func (s *Scheduler) runGuarded(ctx context.Context, run func(context.Context) (any, error)) (res any, err error, quarantined bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked.Inc()
@@ -595,9 +542,6 @@ func (s *Scheduler) attempt(ctx context.Context, run func(context.Context) (any,
 	s.chaos.Stall(ctx)
 	if s.chaos.ShouldPanic() {
 		panic("injected chaos panic")
-	}
-	if cerr := s.chaos.TransientFailure(); cerr != nil {
-		return nil, cerr, false
 	}
 	res, err = run(ctx)
 	return res, err, false

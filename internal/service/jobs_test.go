@@ -2,9 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -389,4 +392,51 @@ func TestSchedulerBaseContextCancelAbortsJobs(t *testing.T) {
 		t.Errorf("state = %s, want cancelled via base context", got.State)
 	}
 	s.Drain(context.Background())
+}
+
+// TestSchedulerRunsJobOnce: the scheduler never re-runs a job. A plain
+// error and one wrapping a deadline each end failed after one call, a panic
+// ends quarantined after one call, and the job view carries no retry count.
+func TestSchedulerRunsJobOnce(t *testing.T) {
+	s, ts := newTestServer(t)
+	cases := []struct {
+		name        string
+		fn          func() (any, error)
+		quarantined bool
+	}{
+		{"plain error", func() (any, error) { return nil, errors.New("kernel exploded") }, false},
+		{"deadline", func() (any, error) { return nil, fmt.Errorf("sweep: %w", context.DeadlineExceeded) }, false},
+		{"panic", func() (any, error) { panic("model bug") }, true},
+	}
+	for _, tc := range cases {
+		var calls atomic.Int32
+		v, err := s.sched.Submit("test", 0, func(context.Context) (any, error) {
+			calls.Add(1)
+			return tc.fn()
+		})
+		if err != nil {
+			t.Fatalf("%s: Submit: %v", tc.name, err)
+		}
+		v = waitTerminal(t, s.sched, v.ID)
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%s: job ran %d times, want 1", tc.name, n)
+		}
+		if v.State != JobFailed || v.Quarantined != tc.quarantined {
+			t.Errorf("%s: state=%s quarantined=%v, want failed quarantined=%v",
+				tc.name, v.State, v.Quarantined, tc.quarantined)
+		}
+		resp, body := doJSON(t, ts.Client(), "GET", ts.URL+"/v1/jobs/"+v.ID, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: GET job = %d: %s", tc.name, resp.StatusCode, body)
+		}
+		var out struct {
+			Job map[string]json.RawMessage `json:"job"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%s: decode job: %v", tc.name, err)
+		}
+		if _, ok := out.Job["retries"]; ok {
+			t.Errorf("%s: job body carries a retries key: %s", tc.name, body)
+		}
+	}
 }

@@ -74,16 +74,10 @@ type Config struct {
 	Tracer *obs.Tracer
 
 	// Chaos, when set, injects runtime faults across the stack: worker
-	// panics and transient failures in the scheduler, artificial latency
-	// in request handling, context stalls before job execution, and cache
-	// corruption (read-repaired). Nil disables every site.
+	// panics in the scheduler (quarantined), artificial latency in request
+	// handling, and context stalls before job execution. Nil disables every
+	// site.
 	Chaos *faults.Chaos
-	// RetryMax bounds transient-failure retries per job (default 2;
-	// negative disables retries entirely).
-	RetryMax int
-	// RetryBase is the first retry's backoff; later attempts double it,
-	// plus up to 50% jitter (default 10ms).
-	RetryBase time.Duration
 	// DetailedBudget bounds the event-driven NoC phase of a detailed
 	// simulate request (default 2s); past it the response falls back to
 	// the analytic result, flagged degraded.
@@ -197,17 +191,11 @@ func New(ctx context.Context, cfg Config) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	switch {
-	case cfg.RetryMax == 0:
-		cfg.RetryMax = 2
-	case cfg.RetryMax < 0:
-		cfg.RetryMax = 0
-	}
 	if cfg.DetailedBudget <= 0 {
 		cfg.DetailedBudget = 2 * time.Second
 	}
 	var durable *durableManager
-	schedOpts := []SchedOption{WithChaos(cfg.Chaos), WithRetry(cfg.RetryMax, cfg.RetryBase)}
+	schedOpts := []SchedOption{WithChaos(cfg.Chaos)}
 	if cfg.Journal != nil && !cfg.WorkerOnly {
 		if cfg.OwnerID == "" {
 			cfg.OwnerID = "replica-" + newJobID()
@@ -236,7 +224,6 @@ func New(ctx context.Context, cfg Config) *Server {
 		admissions: make(map[string]*admission),
 		admitSkips: reg.Counter("service.admit.simulate.bypassed"),
 	}
-	s.cache.chaos = cfg.Chaos
 	s.cache.SetStore(cfg.Store)
 	if len(cfg.Peers) > 0 || (cfg.Store != nil && !cfg.WorkerOnly) {
 		s.coord = cluster.NewCoordinator(cfg.Peers, reg)
@@ -378,7 +365,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		s.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if d := s.chaos.Latency(); d > 0 {
-			time.Sleep(d)
+			faults.Wait(r.Context(), d)
 		}
 		admitted(sw, r)
 		s.inflight.Add(-1)
