@@ -73,18 +73,15 @@ chaos-short:
 	go test -race -run='Chaos|Overload|Fault|CacheEviction|CacheInflight' ./internal/service/
 	go test -run='Apply|Surface|Chaos' ./internal/faults/
 
-# Short fuzz pass over the compression codec (round-trip + ratio bounds),
-# the fault-mask parser, the DL spec / batch-list / space-spec parsers
-# (never panic; accepted inputs are canonical fixed points), the job journal
-# fold, the shard-wire decoder (a 400 or a stream ending in done/error), the
-# simulate handler (a 4xx, or a 200 whose body decodes) and the explore
-# handler (a 4xx, or a 202 carrying a job); accepted requests of both keep
-# their cache key through a marshal round trip. The event kernel runs
-# decoded programs of At, Cancel, Step, RunUntil and Run against a
-# stable-sorted reference queue.
+# Short fuzz pass over the fault-mask parser, the DL spec / batch-list /
+# space-spec parsers (never panic; accepted inputs are canonical fixed
+# points), the job journal fold, the shard-wire decoder (a 400 or a stream
+# ending in done/error), the simulate handler (a 4xx, or a 200 whose body
+# decodes) and the explore handler (a 4xx, or a 202 carrying a job);
+# accepted requests of both keep their cache key through a marshal round
+# trip. The event kernel runs decoded programs of At, Cancel, Step,
+# RunUntil and Run against a stable-sorted reference queue.
 fuzz-short:
-	go test -run='^$$' -fuzz=FuzzLineRoundTrip -fuzztime=10s ./internal/compress
-	go test -run='^$$' -fuzz=FuzzDecodeNeverPanics -fuzztime=5s ./internal/compress
 	go test -run='^$$' -fuzz=FuzzParseMask -fuzztime=5s ./internal/faults
 	go test -run='^$$' -fuzz=FuzzParseDL -fuzztime=5s ./internal/workload
 	go test -run='^$$' -fuzz=FuzzParseBatchList -fuzztime=5s ./internal/workload
@@ -125,8 +122,9 @@ bench-json:
 	go test -run='^$$' -bench=. -benchmem . | go run ./cmd/enabench -out BENCH_$$(date +%Y-%m-%d).json
 
 # Diff the two most recent BENCH_*.json snapshots with a ±10% wall-time gate
-# on the guarded hot paths (Figure 10/11, Table II, SimulateNode, NoC and
-# memory queue sims). Regressions warn; add -strict in CI to hard-fail.
+# on the guarded hot paths (cmd/enabench's defaultGate: Figure 10/11,
+# Table II, SimulateNode, the NoC sim, fabric, inference, the service tier
+# and exploration). Regressions warn; add -strict in CI to hard-fail.
 bench-compare:
 	@set -- $$(ls -t BENCH_*.json 2>/dev/null); \
 	if [ $$# -lt 2 ]; then echo "bench-compare: need two BENCH_*.json snapshots (have $$#)"; exit 0; fi; \

@@ -20,15 +20,12 @@ import (
 
 	"ena/internal/arch"
 	"ena/internal/cluster"
-	"ena/internal/compress"
 	"ena/internal/core"
-	"ena/internal/cpu"
 	"ena/internal/dram"
 	"ena/internal/dse"
 	"ena/internal/event"
 	"ena/internal/exp"
 	"ena/internal/fabric"
-	"ena/internal/memsys"
 	"ena/internal/noc"
 	"ena/internal/obs"
 	"ena/internal/perf"
@@ -311,16 +308,6 @@ func BenchmarkEventKernelNoC(b *testing.B) {
 	s.Run(uint64(b.N))
 }
 
-// BenchmarkMemoryQueueSim measures the event-driven memory-system model.
-func BenchmarkMemoryQueueSim(b *testing.B) {
-	cfg := arch.BestMeanEHP()
-	tr := workload.SNAP().Trace(1, 50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		memsys.SimulateTrace(cfg, tr, memsys.SimOptions{MissFrac: 0.3})
-	}
-}
-
 // BenchmarkThermalSolve measures one steady-state package solve.
 func BenchmarkThermalSolve(b *testing.B) {
 	cfg := arch.BestMeanEHP()
@@ -342,22 +329,6 @@ func BenchmarkTraceAnalysis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trace.Analyze(tr)
-	}
-}
-
-// BenchmarkCompressLine measures the FPC-style codec round trip.
-func BenchmarkCompressLine(b *testing.B) {
-	tr := workload.LULESH().Trace(1, compress.WordsPerLine)
-	var line [compress.WordsPerLine]uint64
-	for i := range line {
-		line[i] = tr[i].Value
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := compress.Encode(line)
-		if _, err := compress.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -430,20 +401,6 @@ func BenchmarkFabricReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Replay(fabric.AllToAll, 1<<16); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCPULeadingLoads measures the CPU DVFS state selection.
-func BenchmarkCPULeadingLoads(b *testing.B) {
-	m := cpu.DefaultPowerModel()
-	states := []float64{1200, 1600, 2000, 2400, 2800, 3200}
-	ps := cpu.Profiles()
-	for i := 0; i < b.N; i++ {
-		for _, p := range ps {
-			if _, err := m.EnergyOptimalMHz(p, states, 0.7); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -105,14 +105,14 @@ func parse(r io.Reader) ([]Result, error) {
 
 // defaultGate lists the benchmarks held to the ±10% regression gate: the
 // thermal-dominated figures, the DSE/TableII sweeps, the per-simulation unit
-// of work, the two event-driven micro-simulators, the inter-node fabric
+// of work, the event-driven NoC simulator, the inter-node fabric
 // (collective replay plus the machine-scale curve sweep), the DL
 // inference path (serving scenario plus the analytic GEMM sweep), the
 // service tier (persistent-store round trip, sharded sweep fan-out, and
 // the cached-simulate HTTP hot path), and the expanded-space exploration
 // pair (exhaustive baseline and the surrogate explorer, whose ns/op ratio
 // is the sample-efficiency headline).
-const defaultGate = "BenchmarkFigure10,BenchmarkFigure11,BenchmarkTable2,BenchmarkSimulateNode,BenchmarkNoCSimulation,BenchmarkMemoryQueueSim,BenchmarkFabricReplay,BenchmarkFabricScaling,BenchmarkInferenceScenario,BenchmarkGEMMSweep,BenchmarkStoreRoundTrip,BenchmarkShardedExplore,BenchmarkServiceSimulateHot,BenchmarkExpandedExplore,BenchmarkSurrogateExplore"
+const defaultGate = "BenchmarkFigure10,BenchmarkFigure11,BenchmarkTable2,BenchmarkSimulateNode,BenchmarkNoCSimulation,BenchmarkFabricReplay,BenchmarkFabricScaling,BenchmarkInferenceScenario,BenchmarkGEMMSweep,BenchmarkStoreRoundTrip,BenchmarkShardedExplore,BenchmarkServiceSimulateHot,BenchmarkExpandedExplore,BenchmarkSurrogateExplore"
 
 // gateTolerance is the allowed fractional wall-time regression on gated
 // benchmarks before compare flags them.

@@ -54,7 +54,7 @@ func TestCancelledEventRecyclesSlot(t *testing.T) {
 
 // TestSteadyStateSchedulingIsAllocFree is the kernel's headline property:
 // once the heap and slot table reach their high-water mark, a pop-then-push
-// cycle (the NoC/memsys steady state) performs no allocations.
+// cycle (the NoC steady state) performs no allocations.
 func TestSteadyStateSchedulingIsAllocFree(t *testing.T) {
 	s := NewSim()
 	fn := func() {}

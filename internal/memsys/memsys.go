@@ -2,9 +2,9 @@
 // in-package 3D DRAM plus the external memory network, the management
 // policies that decide which level serves each request (§II-B3), and the
 // resulting memory environment (effective bandwidth and latency) the
-// performance model consumes. It also contains an event-driven queuing
-// simulator of HBM channels and external chains used for validation and the
-// memory-policy ablation.
+// performance model consumes, plus the epoch-based page-migration replay
+// that checks MissFrac. Loaded HBM timing lives in one place, the NoC's
+// event-driven simulation (internal/noc).
 package memsys
 
 import (

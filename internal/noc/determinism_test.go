@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"ena/internal/arch"
-	"ena/internal/memsys"
 	"ena/internal/obs"
 	"ena/internal/workload"
 )
@@ -66,25 +65,5 @@ func TestSimulateInstrumentationDoesNotChangeResults(t *testing.T) {
 	}
 	if tr.Len() == 0 {
 		t.Error("no trace events sampled")
-	}
-}
-
-func TestMemsysSimulateTraceRepeatable(t *testing.T) {
-	cfg := arch.BestMeanEHP()
-	trc := workload.SNAP().Trace(1, 20_000)
-	opt := memsys.SimOptions{MissFrac: 0.3}
-	a := memsys.SimulateTrace(cfg, trc, opt)
-	b := memsys.SimulateTrace(cfg, trc, opt)
-	if a != b {
-		t.Errorf("repeat run differs:\n a=%+v\n b=%+v", a, b)
-	}
-	reg := obs.NewRegistry()
-	opt.Reg = reg
-	c := memsys.SimulateTrace(cfg, trc, opt)
-	if a != c {
-		t.Errorf("instrumentation changed the result:\n plain=%+v\n obs=%+v", a, c)
-	}
-	if got := reg.Snapshot().Counters["memsys.requests"]; got != int64(len(trc)) {
-		t.Errorf("memsys.requests = %d, want %d", got, len(trc))
 	}
 }

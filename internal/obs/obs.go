@@ -19,8 +19,8 @@
 //	requests.Add(n) // no-op on nil
 //
 // Hot loops should resolve handles once up front and aggregate locally when
-// possible; the simulators in internal/noc, internal/memsys, internal/dse
-// and internal/thermal follow that discipline so the uninstrumented path
+// possible; the simulators in internal/noc, internal/dse and
+// internal/thermal follow that discipline so the uninstrumented path
 // stays within noise of the pre-observability baseline.
 package obs
 
@@ -32,7 +32,6 @@ import "sync/atomic"
 const (
 	PIDHarness = 0
 	PIDNoC     = 1
-	PIDMemsys  = 2
 	PIDDSE     = 3
 	PIDThermal = 4
 )

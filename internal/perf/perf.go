@@ -42,7 +42,8 @@ const (
 	ExtLatencyNs = 450
 
 	// CPUFlopsPerCorePerCycle approximates the CPU chiplets' DP
-	// throughput for serial sections (4-wide FMA).
+	// throughput for serial sections (4-wide FMA). It is a calibrated
+	// rate: the CPU clock is not a design axis, so no DVFS model feeds it.
 	CPUFlopsPerCorePerCycle = 8
 )
 

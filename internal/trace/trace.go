@@ -1,13 +1,13 @@
-// Package trace analyzes synthetic memory traces (internal/workload) to
-// derive the quantities the high-level models need: reuse-distance profiles
-// (and from them cache-hit fractions at arbitrary capacities), footprints,
-// and write fractions. This is the stand-in for the performance-counter
-// measurement pass of the paper's methodology (§III).
+// Package trace analyzes synthetic memory traces (internal/workload):
+// reuse-distance profiles (and from them cache-hit fractions at arbitrary
+// capacities), footprints, and write fractions. Table I prints the
+// measured write fraction; the hit fraction checks that the trace
+// generators keep the locality ordering the migration and DRAM experiments
+// consume. The analytic models read calibrated kernel fields, not these
+// profiles.
 package trace
 
 import (
-	"sort"
-
 	"ena/internal/units"
 	"ena/internal/workload"
 )
@@ -92,44 +92,4 @@ func (p *Profile) HitFraction(capacityBytes float64) float64 {
 		}
 	}
 	return float64(hits) / float64(p.Accesses)
-}
-
-// ColdMissFraction returns the fraction of accesses that are first touches.
-func (p *Profile) ColdMissFraction() float64 {
-	if p.Accesses == 0 {
-		return 0
-	}
-	cold := 0
-	for _, d := range p.distances {
-		if d < 0 {
-			cold++
-		}
-	}
-	return float64(cold) / float64(p.Accesses)
-}
-
-// MissCurve evaluates 1-HitFraction at each capacity (bytes), returning a
-// monotonically non-increasing curve usable by the memory-management models.
-func (p *Profile) MissCurve(capacities []float64) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = 1 - p.HitFraction(c)
-	}
-	return out
-}
-
-// MedianReuseDistance returns the median finite reuse distance in lines, or
-// -1 if the trace has no reuses at all.
-func (p *Profile) MedianReuseDistance() int {
-	fin := make([]int, 0, len(p.distances))
-	for _, d := range p.distances {
-		if d >= 0 {
-			fin = append(fin, d)
-		}
-	}
-	if len(fin) == 0 {
-		return -1
-	}
-	sort.Ints(fin)
-	return fin[len(fin)/2]
 }

@@ -59,9 +59,6 @@ func TestFootprintAndCold(t *testing.T) {
 	if p.FootprintB != 3*64 {
 		t.Errorf("FootprintB = %v", p.FootprintB)
 	}
-	if got := p.ColdMissFraction(); got != 0.5 {
-		t.Errorf("ColdMissFraction = %v", got)
-	}
 }
 
 func TestHitFraction(t *testing.T) {
@@ -99,18 +96,6 @@ func TestHitFractionMonotoneInCapacity(t *testing.T) {
 	}
 }
 
-func TestMissCurveNonIncreasing(t *testing.T) {
-	tr := workload.CoMD().Trace(3, 8000)
-	p := Analyze(tr)
-	caps := []float64{1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26}
-	curve := p.MissCurve(caps)
-	for i := 1; i < len(curve); i++ {
-		if curve[i] > curve[i-1]+1e-12 {
-			t.Fatalf("miss curve increased: %v", curve)
-		}
-	}
-}
-
 func TestWriteFrac(t *testing.T) {
 	tr := mk(0, 1, 2, 3)
 	tr[1].Write = true
@@ -122,18 +107,8 @@ func TestWriteFrac(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	p := Analyze(nil)
-	if p.Accesses != 0 || p.HitFraction(1<<20) != 0 || p.ColdMissFraction() != 0 {
+	if p.Accesses != 0 || p.HitFraction(1<<20) != 0 || p.DistinctLines != 0 || p.WriteFrac != 0 {
 		t.Error("empty trace should yield zeros")
-	}
-	if p.MedianReuseDistance() != -1 {
-		t.Error("no reuses -> median distance -1")
-	}
-}
-
-func TestMedianReuseDistance(t *testing.T) {
-	p := Analyze(mk(0, 1, 0, 1))
-	if got := p.MedianReuseDistance(); got != 1 {
-		t.Errorf("median = %d", got)
 	}
 }
 

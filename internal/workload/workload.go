@@ -73,7 +73,8 @@ type TraceGen func(seed int64, n int) []Access
 //   - ExtTrafficFrac: fraction of DRAM traffic served by external memory
 //     for exascale problem sizes under the HMA-style management of [27]
 //     (the paper reports 46-89%; ~0 for MaxFlops).
-//   - WriteFrac: store fraction of memory traffic (drives NVM write energy).
+//   - WriteFrac: store fraction of memory traffic (drives NVM write energy);
+//     calibrated, not read from the trace (Table I prints the trace's).
 //   - FootprintGB: resident data footprint for a representative rank.
 //   - ThrashOPB / ThrashSlope: contention model — beyond machine
 //     ops-per-byte ThrashOPB, excessive concurrent requests thrash caches
@@ -102,9 +103,10 @@ type Kernel struct {
 	SerialFrac     float64
 	CUScalingGamma float64
 
-	// Compressibility is the default DRAM-traffic compression ratio used
-	// when no trace is analyzed (internal/compress measures the real
-	// ratio on generated traces; tests keep the two consistent).
+	// Compressibility is the DRAM-traffic compression ratio the
+	// compression optimization applies (internal/powopt). It is a
+	// calibrated input, set so Fig. 12's savings match the paper's
+	// reported means; it is not measured from the kernel's trace.
 	Compressibility float64
 
 	Trace TraceGen
