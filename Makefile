@@ -103,12 +103,13 @@ chaos-cluster:
 
 # Tier-1 verification gate: everything must build, vet clean, and pass,
 # including the race pass over the service layer and the chaos suite. The
-# cache, simulate and store-restart tests run twenty times over, which shows
-# that their waits on the singleflight counter are not flaky. The bench gate
+# cache, simulate, store-restart, admission, queue-full, resident-experiment
+# and durable-job tests run twenty times over, which shows that their waits
+# on counters and on the job queue are not flaky. The bench gate
 # is a soft warning (leading '-'): it only compares snapshots already
 # committed, so it never blocks when fewer than two exist.
 verify: build fmt-check vet test test-service test-store test-cluster test-dse test-fabric test-exp test-workload chaos-short
-	go test -count=20 -run 'TestCache|TestSimulate|TestStoreServesAcrossRestart' ./internal/service/
+	go test -count=20 -run 'TestCache|TestSimulate|TestStoreServesAcrossRestart|TestAdmission|TestExploreQueueFull|TestExperimentResident|TestDurable' ./internal/service/
 	CHAOS_CLUSTER_ITERS=1 go test -count=1 -run='TestChaosClusterSIGKILL' ./cmd/enaserve/
 	-@$(MAKE) --no-print-directory bench-compare
 

@@ -66,8 +66,7 @@ func run(args []string) int {
 	peers := fs.String("peers", "", "comma-separated worker base URLs to shard explore/scale sweeps across")
 	workerMode := fs.Bool("worker", false, "worker mode: serve only the internal shard-evaluation routes (plus health and metrics)")
 	admitSim := fs.Int("admit-sim", 0, "simulate-route concurrency budget (0 = 2x GOMAXPROCS, <0 = ungoverned)")
-	admitSweep := fs.Int("admit-sweep", 0, "sweep-route (explore/scale/experiments) concurrency budget (0 = GOMAXPROCS, <0 = ungoverned)")
-	admitQueue := fs.Int("admit-queue", 0, "bounded admission-queue depth per route before 503 + Retry-After (0 = 4x budget)")
+	admitQueue := fs.Int("admit-queue", 0, "bounded admission-queue depth per sync route (simulate, experiments) before 503 + Retry-After (0 = 4x budget)")
 	ownerID := fs.String("owner-id", "", "replica id stamped into job leases (empty = hostname-pid)")
 	leaseTTL := fs.Duration("lease-ttl", service.DefaultLeaseTTL, "job lease lifetime; a replica dead this long loses its jobs to adoption")
 	adoptEvery := fs.Duration("adopt-interval", 0, "journal scan interval for adoptable jobs (0 = lease-ttl)")
@@ -141,7 +140,6 @@ func run(args []string) int {
 		Peers:         peerList,
 		WorkerOnly:    *workerMode,
 		AdmitSimulate: *admitSim,
-		AdmitSweep:    *admitSweep,
 		AdmitQueue:    *admitQueue,
 	})
 	if jr != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -10,18 +11,20 @@ import (
 	"ena/internal/obs"
 )
 
-// Admission control is the service's one load governor, in front of the
-// handlers and the scheduler: each governed route has a concurrency budget
-// (slots) and a bounded wait queue.
-// A request that finds all slots busy waits in the queue; one that finds the
-// queue past its high-water mark is shed immediately with 503 + Retry-After.
+// Each kind of work has one load governor, and each sheds with 503 +
+// Retry-After. Async jobs (explore, scale) have the scheduler's bounded
+// queue alone, which decides before the job journal is written (see
+// Scheduler.SubmitWithID). The sync cached routes (simulate,
+// experiments.run) pass one in-handler admission step, admit: a concurrency
+// budget (slots) and a bounded wait queue. A request that finds all slots
+// busy waits in the queue; one that finds the queue full is shed at once. A
+// key already resident or in flight bypasses the step and coalesces onto the
+// cache/singleflight, so a popular key costs one slot however many clients
+// ask for it.
+//
 // Shedding at the door keeps latency bounded under overload — the server
 // degrades to a flat ceiling of in-flight work instead of collapsing under
 // an unbounded backlog (the saturation curves cmd/enaload records).
-//
-// Simulate requests whose canonical key is already resident or in flight
-// bypass admission entirely and coalesce onto the cache/singleflight — a
-// popular key costs one slot no matter how many clients ask for it.
 
 // admission is one route's concurrency budget and wait queue. A nil
 // *admission admits everything (the route is ungoverned).
@@ -37,6 +40,7 @@ type admission struct {
 	admitted *obs.Counter
 	queued   *obs.Counter
 	rejected *obs.Counter
+	bypassed *obs.Counter
 	depth    *obs.Gauge
 }
 
@@ -56,6 +60,7 @@ func newAdmission(route string, slots, queueCap int, reg *obs.Registry) *admissi
 		admitted: reg.Counter("service.admit." + route + ".admitted"),
 		queued:   reg.Counter("service.admit." + route + ".queued"),
 		rejected: reg.Counter("service.admit." + route + ".rejected"),
+		bypassed: reg.Counter("service.admit." + route + ".bypassed"),
 		depth:    reg.Gauge("service.admit." + route + ".queue_depth"),
 	}
 }
@@ -65,9 +70,6 @@ func newAdmission(route string, slots, queueCap int, reg *obs.Registry) *admissi
 // the request finishes, or an error when the queue is full (shed the load)
 // or ctx ends first.
 func (a *admission) acquire(ctx context.Context) (func(), error) {
-	if a == nil {
-		return func() {}, nil
-	}
 	select {
 	case a.slots <- struct{}{}:
 		a.admitted.Inc()
@@ -96,6 +98,31 @@ func (a *admission) acquire(ctx context.Context) (func(), error) {
 }
 
 func (a *admission) release() { <-a.slots }
+
+// admit is the one admission step of the sync cached routes. A resident key
+// (in memory or in flight) is counted as bypassed and takes no slot; any
+// other key acquires a slot, or is shed with 503 + Retry-After and admit
+// reports false. The returned func releases the slot and folds its hold
+// time into the EWMA that later Retry-After hints use.
+func (a *admission) admit(ctx context.Context, w http.ResponseWriter, resident bool) (func(), bool) {
+	if a == nil {
+		return func() {}, true
+	}
+	if resident {
+		a.bypassed.Inc()
+		return func() {}, true
+	}
+	release, err := a.acquire(ctx)
+	if err != nil {
+		writeBackpressure(w, a.retryAfter(), err)
+		return nil, false
+	}
+	t0 := time.Now()
+	return func() {
+		a.observe(time.Since(t0))
+		release()
+	}, true
+}
 
 // observe folds one completed request's service time into the route's EWMA.
 func (a *admission) observe(d time.Duration) {
@@ -160,23 +187,13 @@ func retryAfterHint(depth, slots int, ewmaNs int64) int {
 	return secs
 }
 
-// defaultAdmit resolves an admission budget config value: 0 means the
-// default, negative disables.
-func defaultAdmit(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
+// simulateSlots resolves Config.AdmitSimulate: 0 means 2×GOMAXPROCS (the
+// analytic model is CPU-bound, so past the core count extra concurrency only
+// buys queueing inside the runtime); a negative budget leaves the route
+// ungoverned, as newAdmission does for any budget below one.
+func simulateSlots(v int) int {
+	if v == 0 {
+		return 2 * runtime.GOMAXPROCS(0)
 	}
 	return v
 }
-
-// defaultSimulateSlots is the default simulate concurrency budget: the
-// analytic model is CPU-bound, so past the core count extra concurrency only
-// buys queueing inside the runtime.
-func defaultSimulateSlots() int { return 2 * runtime.GOMAXPROCS(0) }
-
-// defaultSweepSlots is the default budget for the sweep-shaped routes
-// (explore/scale submissions and synchronous experiment runs).
-func defaultSweepSlots() int { return runtime.GOMAXPROCS(0) }

@@ -13,8 +13,9 @@ import (
 )
 
 // Durable jobs: the service-side half of the crash-safe job pipeline. Every
-// async submission (explore/scale) is journalled write-ahead to the shared
-// store directory before it is enqueued, every lifecycle transition is
+// async submission (explore/scale) the scheduler admits is journalled
+// write-ahead to the shared store directory before it is enqueued (a shed
+// one is never journalled), every lifecycle transition is
 // appended as it happens, and the job carries a lease (owner id + expiry)
 // renewed by a heartbeat while it is live here. A replica that restarts — or
 // any replica sharing the store directory — folds the journal back into
@@ -102,13 +103,6 @@ func (m *durableManager) journalSubmit(id, kind, key string, spec []byte) {
 		Owner:   m.owner,
 		LeaseMs: m.leaseMs(time.Now()),
 	})
-}
-
-// forget drops local ownership without journalling (submission failed).
-func (m *durableManager) forget(id string) {
-	m.mu.Lock()
-	delete(m.live, id)
-	m.mu.Unlock()
 }
 
 // transition implements jobRecorder: every scheduler state change of a job
@@ -227,9 +221,12 @@ func (m *durableManager) recover(now time.Time) {
 	}
 }
 
-// resubmit claims a journal entry (lease as self, state queued) and
-// re-enqueues it. A spec that no longer resolves is journalled failed — the
-// poison guard that keeps a corrupt entry from being re-adopted forever.
+// resubmit re-enqueues a journal entry, claiming it (lease as self, state
+// queued) only once the scheduler has room for it. A shed resubmission
+// writes nothing, so the entry keeps its lapsed lease and another replica
+// (or a later scan) can adopt it at once. A spec that no longer resolves is
+// journalled failed — the poison guard that keeps a corrupt entry from being
+// re-adopted forever.
 func (m *durableManager) resubmit(e store.Entry, ctr *obs.Counter) {
 	run, timeout, err := m.srv.runnerForJournal(e)
 	if err != nil {
@@ -239,17 +236,16 @@ func (m *durableManager) resubmit(e store.Entry, ctr *obs.Counter) {
 		})
 		return
 	}
-	m.mu.Lock()
-	m.live[e.ID] = true
-	m.mu.Unlock()
-	m.append(store.Record{
-		ID: e.ID, Type: "state", State: store.StateQueued,
-		Owner: m.owner, LeaseMs: m.leaseMs(time.Now()),
-	})
-	if _, err := m.srv.sched.SubmitWithID(e.ID, e.Kind, timeout, run); err != nil {
-		// Queue full or draining: drop ownership and stop renewing; the
-		// lease lapses and another replica (or a later scan) picks it up.
-		m.forget(e.ID)
+	claim := func() {
+		m.mu.Lock()
+		m.live[e.ID] = true
+		m.mu.Unlock()
+		m.append(store.Record{
+			ID: e.ID, Type: "state", State: store.StateQueued,
+			Owner: m.owner, LeaseMs: m.leaseMs(time.Now()),
+		})
+	}
+	if _, err := m.srv.sched.SubmitWithID(e.ID, e.Kind, timeout, run, claim); err != nil {
 		return
 	}
 	ctr.Inc()
@@ -353,8 +349,9 @@ func (s *Server) jobTimeout(d time.Duration) time.Duration {
 }
 
 // submitJob enqueues an async job, journalling it write-ahead when the
-// server runs durable. spec is the original wire request (the journal's
-// replay payload); key the canonical result-store key.
+// server runs durable: the scheduler admits the job first, so a shed
+// submission leaves no journal record. spec is the original wire request
+// (the journal's replay payload); key the canonical result-store key.
 func (s *Server) submitJob(kind, key string, spec any, timeout time.Duration, run func(context.Context) (any, error)) (JobView, error) {
 	if s.durable == nil {
 		return s.sched.Submit(kind, timeout, run)
@@ -364,13 +361,10 @@ func (s *Server) submitJob(kind, key string, spec any, timeout time.Duration, ru
 		return JobView{}, fmt.Errorf("service: spec marshal: %w", err)
 	}
 	id := newJobID()
-	s.durable.journalSubmit(id, kind, key, specBytes)
-	view, err := s.sched.SubmitWithID(id, kind, timeout, run)
+	view, err := s.sched.SubmitWithID(id, kind, timeout, run, func() {
+		s.durable.journalSubmit(id, kind, key, specBytes)
+	})
 	if err != nil {
-		s.durable.forget(id)
-		if rerr := s.durable.jr.Remove(id); rerr != nil {
-			s.durable.journalErrs.Inc()
-		}
 		return JobView{}, err
 	}
 	view.Owner = s.durable.owner

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -280,6 +282,125 @@ func TestDurableAdoption(t *testing.T) {
 	if e, ok := cfg.Journal.Get("poisonjob1"); !ok || e.State != store.StateFailed {
 		t.Fatalf("poison entry = %+v, want failed", e)
 	}
+}
+
+// saturate fills a one-worker, one-slot scheduler: a gated blocker holds the
+// worker and a filler holds the queue slot. Neither is journalled. Closing
+// the returned gate lets both finish.
+func saturate(t *testing.T, s *Server) chan struct{} {
+	t.Helper()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	if _, err := s.sched.Submit("blocker", 0, func(ctx context.Context) (any, error) {
+		close(started)
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	<-started
+	if _, err := s.sched.Submit("filler", 0, func(ctx context.Context) (any, error) {
+		return nil, nil
+	}); err != nil {
+		t.Fatalf("Submit filler: %v", err)
+	}
+	return gate
+}
+
+// The scheduler decides before the journal write: an explore shed by a full
+// queue answers 503 and leaves no journal record behind.
+func TestDurableShedSubmissionNotJournalled(t *testing.T) {
+	dir := t.TempDir()
+	cfg, reg := durableConfig(t, dir, "alpha", 0)
+	cfg.Workers, cfg.QueueCap = 1, 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := New(ctx, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	gate := saturate(t, s)
+	defer close(gate)
+
+	appends := reg.Counter("jobs.journal_appends").Value()
+	resp, b := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/explore", smallExplore())
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("explore with saturated queue = %d, want 503: %s", resp.StatusCode, b)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed explore is missing Retry-After")
+	}
+	if n := reg.Counter("jobs.journal_appends").Value(); n != appends {
+		t.Errorf("jobs.journal_appends moved %d -> %d for a shed submission", appends, n)
+	}
+	files, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 0 {
+		t.Errorf("journal holds %d job file(s) after a shed submission, want 0", len(files))
+	}
+}
+
+// Adoption with a full queue claims nothing: the entry keeps its owner and
+// lapsed lease, so a peer can adopt it at once, and a later scan with room
+// adopts it here.
+func TestDurableAdoptionFullQueueKeepsLease(t *testing.T) {
+	dir := t.TempDir()
+	req := smallExplore()
+	ej, err := req.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := json.Marshal(req)
+	cfg, reg := durableConfig(t, dir, "survivor", 0)
+	cfg.Workers, cfg.QueueCap = 1, 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := New(ctx, cfg)
+	gate := saturate(t, s)
+
+	if err := cfg.Journal.Append(store.Record{
+		ID: "ghostjob2", Type: "submit", Kind: "explore", Key: ej.key, Spec: spec,
+		State: store.StateQueued, Owner: "ghost",
+		LeaseMs: time.Now().Add(-time.Hour).UnixMilli(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := cfg.Journal.Get("ghostjob2")
+	s.durable.adoptOnce(time.Now())
+	after, ok := cfg.Journal.Get("ghostjob2")
+	if !ok || after.Owner != "ghost" || !after.LeaseUntil.Equal(before.LeaseUntil) || after.State != store.StateQueued {
+		t.Fatalf("shed adoption changed the entry: owner %q -> %q, lease %v -> %v, state %s -> %s",
+			before.Owner, after.Owner, before.LeaseUntil, after.LeaseUntil, before.State, after.State)
+	}
+	if !after.Recoverable(time.Now()) {
+		t.Fatal("entry is not adoptable right after a shed adoption")
+	}
+	if n := reg.Counter("jobs.adopted").Value(); n != 0 {
+		t.Fatalf("jobs.adopted = %d after a shed adoption, want 0", n)
+	}
+
+	close(gate)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.sched.QueueDepth() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("filler never left the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.durable.adoptOnce(time.Now())
+	if n := reg.Counter("jobs.adopted").Value(); n != 1 {
+		t.Fatalf("jobs.adopted = %d once the queue has room, want 1", n)
+	}
+	if v, err := s.sched.Wait(context.Background(), "ghostjob2"); err != nil || v.State != JobDone {
+		t.Fatalf("adopted job: state=%s err=%v", v.State, err)
+	}
+	drainCtx, dc := context.WithTimeout(context.Background(), 5*time.Second)
+	defer dc()
+	s.Drain(drainCtx)
 }
 
 func TestDurableJournalJobView(t *testing.T) {

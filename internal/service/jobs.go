@@ -260,15 +260,22 @@ func newJobID() string {
 // deadline (the base context still applies). Returns ErrQueueFull when the
 // pending queue is at capacity and ErrDraining after Drain began.
 func (s *Scheduler) Submit(kind string, timeout time.Duration, run func(context.Context) (any, error)) (JobView, error) {
-	return s.SubmitWithID(newJobID(), kind, timeout, run)
+	return s.SubmitWithID(newJobID(), kind, timeout, run, nil)
 }
 
 // SubmitWithID is Submit with a caller-chosen job id — the handle a durable
 // manager uses to re-enqueue journalled jobs under their original identity.
 // Idempotent: if the id is already in the table the existing job's view is
-// returned and nothing is enqueued, so recovery and adoption racing a live
-// submission cannot double-run a job.
-func (s *Scheduler) SubmitWithID(id, kind string, timeout time.Duration, run func(context.Context) (any, error)) (JobView, error) {
+// returned and nothing is persisted or enqueued, so recovery and adoption
+// racing a live submission cannot double-run a job.
+//
+// The queue is the async routes' one load governor, and it decides before
+// anything is persisted: SubmitWithID checks draining and queue room, then
+// runs persist (the caller's write-ahead step, nil for none), then enqueues,
+// all under s.mu. Only submitters send on the queue, and Drain closes it
+// under s.mu, so the room seen by the check is still there at the send, and
+// a shed submission never reaches persist.
+func (s *Scheduler) SubmitWithID(id, kind string, timeout time.Duration, run func(context.Context) (any, error), persist func()) (JobView, error) {
 	j := &job{
 		id:      id,
 		kind:    kind,
@@ -290,13 +297,15 @@ func (s *Scheduler) SubmitWithID(id, kind string, timeout time.Duration, run fun
 		s.rejected.Inc()
 		return JobView{}, ErrDraining
 	}
-	select {
-	case s.queue <- j:
-	default:
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		s.rejected.Inc()
 		return JobView{}, ErrQueueFull
 	}
+	if persist != nil {
+		persist()
+	}
+	s.queue <- j
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	prunedIDs := s.pruneLocked()

@@ -22,6 +22,11 @@
 //	GET  /v1/healthz             readiness: 503 while draining
 //	/v1/internal/...             peer shard evaluation, ping and job summary
 //
+// Each kind of work has one load governor, and both shed with 503 +
+// Retry-After: simulate and experiment runs pass one in-handler admission
+// step that resident keys bypass, and explore and scale jobs pass only the
+// scheduler's bounded queue, checked before the job is journalled.
+//
 // cmd/enaserve wires this into a binary with graceful SIGTERM drain.
 package service
 
@@ -59,12 +64,11 @@ type Config struct {
 	// Workers is the job worker-pool size (default: GOMAXPROCS).
 	Workers int
 	// QueueCap bounds pending jobs; submissions beyond it are rejected
-	// with 503 + Retry-After (default 64).
+	// with 503 + Retry-After (default 64). It is the async routes' only
+	// load governor.
 	QueueCap int
 	// CacheSize bounds the content-addressed result cache (default 4096).
 	CacheSize int
-	// JobRetain bounds how many jobs stay queryable (default 256).
-	JobRetain int
 	// JobTimeout is the default per-job deadline when a request does not
 	// set one (0 = no deadline).
 	JobTimeout time.Duration
@@ -131,13 +135,9 @@ type Config struct {
 	// 2*GOMAXPROCS; negative disables admission control on the route).
 	// Requests whose key is already cached or in flight bypass admission.
 	AdmitSimulate int
-	// AdmitSweep is the shared budget default for the sweep-shaped routes —
-	// explore and scale submissions, synchronous experiment runs (default
-	// GOMAXPROCS; negative disables).
-	AdmitSweep int
-	// AdmitQueue bounds how many requests may wait per governed route for
-	// an admission slot before load is shed with 503 + Retry-After
-	// (default 4x the route's budget).
+	// AdmitQueue bounds how many requests may wait per governed route
+	// (simulate, experiments.run) for an admission slot before load is shed
+	// with 503 + Retry-After (default 4x the route's budget).
 	AdmitQueue int
 }
 
@@ -157,12 +157,10 @@ type Server struct {
 	durable  *durableManager
 	draining atomic.Bool
 
-	// admissions holds the per-route concurrency governors consulted by
-	// instrument; admitSim is the simulate route's, consulted in-handler so
-	// cached keys can bypass the queue (see handleSimulate).
-	admissions map[string]*admission
-	admitSim   *admission
-	admitSkips *obs.Counter
+	// admitSim and admitExp govern the sync cached routes (simulate,
+	// experiments.run), consulted in-handler so resident keys bypass them.
+	admitSim *admission
+	admitExp *admission
 
 	// perfCache memoizes the optimization-independent perf phase across
 	// explore jobs: sweeps over the same (space, kernels) under different
@@ -204,25 +202,25 @@ func New(ctx context.Context, cfg Config) *Server {
 		schedOpts = append(schedOpts, WithRecorder(durable))
 	}
 	s := &Server{
-		cfg:        cfg,
-		reg:        reg,
-		tracer:     cfg.Tracer,
-		cache:      NewCache(cfg.CacheSize, reg),
-		sched:      NewScheduler(ctx, cfg.Workers, cfg.QueueCap, cfg.JobRetain, reg, schedOpts...),
-		durable:    durable,
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
-		chaos:      cfg.Chaos,
-		simExecs:   reg.Counter("service.sim.executions"),
-		fallbacks:  reg.Counter("service.sim.fallbacks"),
-		reqCtr:     reg.Counter("service.http.requests"),
-		errCtr:     reg.Counter("service.http.errors"),
-		cancelCtr:  reg.Counter("service.http.client_cancelled"),
-		inflight:   reg.Gauge("service.http.inflight"),
-		latHist:    reg.Histogram("service.http.latency_ns", durationBounds),
-		perfCache:  dse.NewPerfCache(),
-		admissions: make(map[string]*admission),
-		admitSkips: reg.Counter("service.admit.simulate.bypassed"),
+		cfg:       cfg,
+		reg:       reg,
+		tracer:    cfg.Tracer,
+		cache:     NewCache(cfg.CacheSize, reg),
+		sched:     NewScheduler(ctx, cfg.Workers, cfg.QueueCap, DefaultJobRetain, reg, schedOpts...),
+		durable:   durable,
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
+		chaos:     cfg.Chaos,
+		simExecs:  reg.Counter("service.sim.executions"),
+		fallbacks: reg.Counter("service.sim.fallbacks"),
+		reqCtr:    reg.Counter("service.http.requests"),
+		errCtr:    reg.Counter("service.http.errors"),
+		cancelCtr: reg.Counter("service.http.client_cancelled"),
+		inflight:  reg.Gauge("service.http.inflight"),
+		latHist:   reg.Histogram("service.http.latency_ns", durationBounds),
+		perfCache: dse.NewPerfCache(),
+		admitSim:  newAdmission("simulate", simulateSlots(cfg.AdmitSimulate), cfg.AdmitQueue, reg),
+		admitExp:  newAdmission("experiments.run", runtime.GOMAXPROCS(0), cfg.AdmitQueue, reg),
 	}
 	s.cache.SetStore(cfg.Store)
 	if len(cfg.Peers) > 0 || (cfg.Store != nil && !cfg.WorkerOnly) {
@@ -235,13 +233,6 @@ func New(ctx context.Context, cfg Config) *Server {
 			s.prober = cluster.NewProber(cfg.Peers, cfg.ProbeInterval, reg)
 			s.coord.SetProber(s.prober)
 			go s.prober.Run(ctx)
-		}
-	}
-	s.admitSim = newAdmission("simulate",
-		defaultAdmit(cfg.AdmitSimulate, defaultSimulateSlots()), cfg.AdmitQueue, reg)
-	for _, route := range []string{"explore", "scale", "experiments.run"} {
-		if a := newAdmission(route, defaultAdmit(cfg.AdmitSweep, defaultSweepSlots()), cfg.AdmitQueue, reg); a != nil {
-			s.admissions[route] = a
 		}
 	}
 	s.routes()
@@ -339,27 +330,12 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with per-route and aggregate metrics, the
-// chaos latency site and the route's admission governor. Order on the way
-// in: metrics -> chaos latency -> admission (bounded queueing) -> handler.
-// Health and metrics have no governor, so operators can reach them while
-// every other route sheds load.
+// instrument wraps a handler with per-route and aggregate metrics and the
+// chaos latency site. Load governors live inside the handlers (admit for the
+// sync cached routes, the scheduler queue for async jobs), so health and
+// metrics stay reachable while every other route sheds load.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	routeCtr := s.reg.Counter("service.http." + route + ".requests")
-	adm := s.admissions[route]
-	admitted := func(sw *statusWriter, r *http.Request) {
-		release, err := adm.acquire(r.Context())
-		if err != nil {
-			// Adaptive Retry-After: backlog ahead of this client × the
-			// route's EWMA service time, not a fixed guess.
-			writeBackpressure(sw, adm.retryAfter(), err)
-			return
-		}
-		defer release()
-		t0 := time.Now()
-		h(sw, r)
-		adm.observe(time.Since(t0))
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		s.inflight.Add(1)
@@ -367,7 +343,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if d := s.chaos.Latency(); d > 0 {
 			faults.Wait(r.Context(), d)
 		}
-		admitted(sw, r)
+		h(sw, r)
 		s.inflight.Add(-1)
 		s.reqCtr.Inc()
 		routeCtr.Inc()
@@ -524,25 +500,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Admission: a key already resident or in flight coalesces onto the
-	// cache/singleflight without occupying a slot — N clients asking for
-	// the same popular result cost one execution and zero queueing.
-	if resident {
-		s.admitSkips.Inc()
-	} else {
-		release, err := s.admitSim.acquire(ctx)
-		if err != nil {
-			writeBackpressure(w, s.admitSim.retryAfter(), err)
-			return
-		}
-		// The slot's hold time feeds the route's EWMA, and with it the
-		// Retry-After that shed requests get.
-		t0 := time.Now()
-		defer func() {
-			s.admitSim.observe(time.Since(t0))
-			release()
-		}()
+	// A key already resident or in flight coalesces onto the cache or
+	// singleflight without occupying a slot — N clients asking for the same
+	// popular result cost one execution and zero queueing.
+	release, ok := s.admitSim.admit(ctx, w, resident)
+	if !ok {
+		return
 	}
+	defer release()
 	// The cache holds the encoded hit body (see encodeHit); fresh is the
 	// answer of the caller that executes, which is not a hit.
 	var fresh SimulateResponse
@@ -804,8 +769,15 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Experiments are deterministic, so their rendered text is content-
 	// addressed by ID alone; the heavy ones (full DSE sweeps, thermal
-	// solves) run once and every later scrape is a cache hit.
-	val, shared, err := s.cache.DoPersist(r.Context(), "exp:v1:"+id, decodeAs[string], func() (any, error) {
+	// solves) run once and every later scrape is a cache hit, which takes
+	// no admission slot.
+	key := "exp:v1:" + id
+	release, ok := s.admitExp.admit(r.Context(), w, s.cache.Contains(key))
+	if !ok {
+		return
+	}
+	defer release()
+	val, shared, err := s.cache.DoPersist(r.Context(), key, decodeAs[string], func() (any, error) {
 		return e.Run().Render(), nil
 	})
 	if err != nil {

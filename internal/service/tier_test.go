@@ -410,6 +410,56 @@ func TestAdmissionCachedKeyBypass(t *testing.T) {
 	}
 }
 
+// An experiment whose result is resident answers from the cache while the
+// experiments admission is saturated; a cold one is shed with Retry-After.
+func TestExperimentResidentBypassesAdmission(t *testing.T) {
+	s, ts := newTierServer(t, Config{})
+	c := ts.Client()
+	if resp, b := doJSON(t, c, "GET", ts.URL+"/v1/experiments/table1", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first table1 run = %d: %s", resp.StatusCode, b)
+	}
+
+	// Hold every slot and every queue place, as running and waiting cold
+	// experiment runs would.
+	a := s.admitExp
+	for len(a.slots) < cap(a.slots) {
+		a.slots <- struct{}{}
+	}
+	for len(a.queue) < cap(a.queue) {
+		a.queue <- struct{}{}
+	}
+	defer func() {
+		for len(a.queue) > 0 {
+			<-a.queue
+		}
+		for len(a.slots) > 0 {
+			<-a.slots
+		}
+	}()
+
+	resp, b := doJSON(t, c, "GET", ts.URL+"/v1/experiments/table1", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resident table1 with saturated admission = %d, want 200: %s", resp.StatusCode, b)
+	}
+	var got ExperimentResponse
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached {
+		t.Error("resident experiment answered with cached = false")
+	}
+	resp, b = doJSON(t, c, "GET", ts.URL+"/v1/experiments/fig4", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("cold fig4 with saturated admission = %d, want 503: %s", resp.StatusCode, b)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed experiment response is missing Retry-After")
+	}
+	if n := s.Registry().Counter("service.admit.experiments.run.bypassed").Value(); n != 1 {
+		t.Errorf("experiments bypassed = %d, want 1", n)
+	}
+}
+
 // A shed simulate request gets the adaptive Retry-After, and a served
 // uncached request feeds the EWMA it is computed from.
 func TestSimulateRetryAfterAdapts(t *testing.T) {
