@@ -110,6 +110,7 @@ chaos-cluster:
 # committed, so it never blocks when fewer than two exist.
 verify: build fmt-check vet test test-service test-store test-cluster test-dse test-fabric test-exp test-workload chaos-short
 	go test -count=20 -run 'TestCache|TestSimulate|TestStoreServesAcrossRestart|TestAdmission|TestExploreQueueFull|TestExperimentResident|TestDurable' ./internal/service/
+	go test -count=20 ./internal/cluster/
 	CHAOS_CLUSTER_ITERS=1 go test -count=1 -run='TestChaosClusterSIGKILL' ./cmd/enaserve/
 	-@$(MAKE) --no-print-directory bench-compare
 

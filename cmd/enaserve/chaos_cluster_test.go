@@ -61,7 +61,6 @@ func startReplica(t *testing.T, name, dir, addr string, peers []string) *replica
 		"-workers", "4",
 		"-lease-ttl", "750ms",
 		"-adopt-interval", "250ms",
-		"-probe-interval", "200ms",
 		"-chaos-eval-delay", "4ms",
 		"-grace", "10s",
 	}

@@ -70,7 +70,6 @@ func run(args []string) int {
 	ownerID := fs.String("owner-id", "", "replica id stamped into job leases (empty = hostname-pid)")
 	leaseTTL := fs.Duration("lease-ttl", service.DefaultLeaseTTL, "job lease lifetime; a replica dead this long loses its jobs to adoption")
 	adoptEvery := fs.Duration("adopt-interval", 0, "journal scan interval for adoptable jobs (0 = lease-ttl)")
-	probeEvery := fs.Duration("probe-interval", 0, "peer health-probe cadence (0 = 2s default)")
 	drainTimeout := fs.Duration("drain-timeout", 0, "job-drain deadline on shutdown; past it in-flight jobs are journalled interrupted (0 = grace period)")
 	evalDelay := fs.Duration("chaos-eval-delay", 0, "chaos knob: sleep per evaluated sweep item, stretching jobs for kill tests")
 	fs.Parse(args)
@@ -135,7 +134,6 @@ func run(args []string) int {
 		OwnerID:       *ownerID,
 		LeaseTTL:      *leaseTTL,
 		AdoptEvery:    *adoptEvery,
-		ProbeInterval: *probeEvery,
 		EvalDelay:     *evalDelay,
 		Peers:         peerList,
 		WorkerOnly:    *workerMode,

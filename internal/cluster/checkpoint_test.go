@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"ena/internal/dse"
 	"ena/internal/exp"
@@ -201,40 +198,5 @@ func TestScaleCheckpointsAndResumes(t *testing.T) {
 	}
 	if n := reg.Counter("jobs.resumed_shards").Value(); n != 2 {
 		t.Fatalf("jobs.resumed_shards = %d, want 2", n)
-	}
-}
-
-func TestCoordinatorSkipsUnhealthyPeers(t *testing.T) {
-	// The only peer is marked down before the job starts: every shard must
-	// run via local fallback without a single request to the dead peer.
-	space := testSpace()
-	kernels, names := testKernels(t)
-	const budget = 160.0
-	want := dse.Explore(space, kernels, budget, 0)
-
-	var hits int32
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits++
-		http.Error(w, "should not be called", http.StatusInternalServerError)
-	}))
-	t.Cleanup(dead.Close)
-
-	reg := obs.NewRegistry()
-	p := NewProber([]string{dead.URL}, time.Hour, reg)
-	p.ReportFailure(dead.URL)
-	c := NewCoordinator([]string{dead.URL}, reg)
-	c.SetProber(p)
-	got, err := c.Explore(context.Background(), space, kernels, names, budget, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Evals, want.Evals) {
-		t.Fatal("health-filtered sweep differs from the single-process sweep")
-	}
-	if hits != 0 {
-		t.Fatalf("down peer received %d requests", hits)
-	}
-	if reg.Counter("cluster.local_fallback_shards").Value() == 0 {
-		t.Error("local fallback not counted")
 	}
 }

@@ -17,7 +17,8 @@
 // items; the path selects the sweep kind. The response is an NDJSON stream
 // of one line per completed item (carrying its index, so completion order
 // is free to vary) terminated by a "done" line with the item count. A
-// stream that ends without "done" is a failed shard.
+// stream that ends without "done", or stays silent past the coordinator's
+// idle deadline (workers send keepalive spaces), is a failed shard.
 package cluster
 
 import (

@@ -57,8 +57,8 @@ type Coordinator struct {
 	peers     []string
 	client    *http.Client
 	shardsPer int
+	idle      time.Duration // shardIdleTimeout; tests shorten it
 
-	prober     *Prober
 	ckpt       CkptStore
 	ckptChunk  int
 	scaleChunk int
@@ -72,6 +72,28 @@ type Coordinator struct {
 	resumedCtr  *obs.Counter
 	ckptCtr     *obs.Counter
 	peersGauge  *obs.Gauge
+
+	// down holds the peers whose last shard failed (see recordOutcome).
+	downMu       sync.Mutex
+	down         map[string]peerBackoff
+	healthyGauge *obs.Gauge
+	now          func() time.Time // time.Now; tests move it instead of sleeping
+}
+
+// shardIdleTimeout bounds each silence of a shard exchange: until the
+// response header, then between any two reads of the stream. Workers write a
+// keepalive every shardKeepalive, so only a peer that stopped answering
+// (SIGSTOP, a black-holed host) fails the shard this way, while the job is live.
+const shardIdleTimeout = 5 * time.Second
+
+const (
+	minPeerBackoff = 2 * time.Second
+	maxPeerBackoff = 30 * time.Second
+)
+
+type peerBackoff struct {
+	wait  time.Duration
+	until time.Time
 }
 
 // NewCoordinator builds a coordinator over the given peer base URLs
@@ -82,10 +104,10 @@ func NewCoordinator(peers []string, reg *obs.Registry) *Coordinator {
 	c := &Coordinator{
 		peers: append([]string(nil), peers...),
 		// No overall client timeout: shard streams legitimately run long.
-		// Dial/TLS inherit http.DefaultTransport's limits, and every request
-		// carries the job context.
+		// runShard's idle deadline bounds each silence instead.
 		client:      &http.Client{},
 		shardsPer:   DefaultShardsPerPeer,
+		idle:        shardIdleTimeout,
 		ckptChunk:   DefaultCheckpointItems,
 		scaleChunk:  defaultScaleChunk,
 		dispatched:  reg.Counter("cluster.shards_dispatched"),
@@ -96,18 +118,14 @@ func NewCoordinator(peers []string, reg *obs.Registry) *Coordinator {
 		resumedCtr:  reg.Counter("jobs.resumed_shards"),
 		ckptCtr:     reg.Counter("jobs.checkpoints"),
 		peersGauge:  reg.Gauge("cluster.peers"),
+
+		down:         make(map[string]peerBackoff),
+		healthyGauge: reg.Gauge("cluster.peers_healthy"),
+		now:          time.Now,
 	}
 	c.peersGauge.Set(float64(len(c.peers)))
+	c.activePeers() // sets cluster.peers_healthy
 	return c
-}
-
-// SetProber installs health-aware peer membership: shard assignment draws
-// from the prober's healthy set instead of the static peer list, and shard
-// failures feed back into it.
-func (c *Coordinator) SetProber(p *Prober) {
-	if c != nil {
-		c.prober = p
-	}
 }
 
 // EnableCheckpoints persists completed shard partials to cs so an adopted or
@@ -141,13 +159,40 @@ func (c *Coordinator) SetEvalDelay(d time.Duration) {
 // single-process sweep resumable.
 func (c *Coordinator) Active() bool { return c != nil && (len(c.peers) > 0 || c.ckpt != nil) }
 
-// activePeers is the shard-assignment set: the prober's healthy peers when
-// health tracking is on, the static list otherwise.
+// activePeers is the shard-assignment set: the configured peers, in
+// configuration order, that are not sitting out a backoff. Its size is the
+// cluster.peers_healthy gauge, as of the last sweep or shard outcome.
 func (c *Coordinator) activePeers() []string {
-	if c.prober == nil {
-		return c.peers
+	c.downMu.Lock()
+	defer c.downMu.Unlock()
+	now := c.now()
+	out := make([]string, 0, len(c.peers))
+	for _, p := range c.peers {
+		if b, ok := c.down[p]; !ok || !now.Before(b.until) {
+			out = append(out, p)
+		}
 	}
-	return c.prober.Healthy()
+	c.healthyGauge.Set(float64(len(out)))
+	return out
+}
+
+// recordOutcome updates peer's backoff from a shard outcome. A completed
+// shard clears it. A failure leaves the peer out of later sweeps for
+// minPeerBackoff, doubling per consecutive failure up to maxPeerBackoff;
+// the first sweep after the backoff is the retry.
+func (c *Coordinator) recordOutcome(peer string, ok bool) {
+	defer c.activePeers() // after the unlock below
+	c.downMu.Lock()
+	defer c.downMu.Unlock()
+	if b, down := c.down[peer]; ok {
+		delete(c.down, peer)
+	} else {
+		wait := minPeerBackoff
+		if down {
+			wait = min(2*b.wait, maxPeerBackoff)
+		}
+		c.down[peer] = peerBackoff{wait: wait, until: c.now().Add(wait)}
+	}
 }
 
 // chaosSleep implements the eval-delay knob, respecting cancellation.
@@ -217,10 +262,10 @@ func (c *Coordinator) Scale(ctx context.Context, kind string, spec fabric.LinkSp
 const maxShardItems = 4096
 
 // sweep is the one sweep driver. It splits items into shards and drives
-// them to completion: pullers (pullersPerPeer per healthy peer) pull shards
+// them to completion: pullers (pullersPerPeer per active peer) pull shards
 // from a shared queue and stream their results; a shard whose stream fails
 // is requeued for the surviving peers (the failed peer is retired for the
-// rest of the job and reported to the prober);
+// rest of the job and marked down for later ones);
 // shards left over when every peer has been retired are evaluated locally
 // with eval — the coordinator is itself a capable replica, so total peer
 // loss degrades to a single-process sweep instead of an error. Results
@@ -308,17 +353,21 @@ func sweep[J, I, R any](ctx context.Context, c *Coordinator, kind string, job J,
 								// Put the shard back for the survivors and
 								// retire this peer: a worker that failed once
 								// (crashed, drained, unreachable) is not
-								// retried this job.
+								// retried this job. Only the first failure
+								// marks it down, so one job counts once
+								// toward its backoff.
 								pending <- sh
-								retired.Store(true)
+								first := !retired.Swap(true)
 								if ctx.Err() == nil {
 									c.peerFails.Inc()
 									c.retries.Inc()
-									c.prober.ReportFailure(peer)
+									if first {
+										c.recordOutcome(peer, false)
+									}
 								}
 								return
 							}
-							c.prober.ReportSuccess(peer)
+							c.recordOutcome(peer, true)
 							save(sh)
 							if remaining.Add(-1) == 0 {
 								close(done)
@@ -367,13 +416,17 @@ func sweep[J, I, R any](ctx context.Context, c *Coordinator, kind string, job J,
 
 // runShard posts one shard to a peer and merges its streamed items through
 // put. Any transport error, non-200 status, malformed line, item index
-// outside the shard, or a stream that ends without the "done" trailer fails
-// the shard.
+// outside the shard, a silence longer than c.idle, or a stream that ends
+// without the "done" trailer fails the shard.
 func runShard[J, I, R any](ctx context.Context, c *Coordinator, peer, kind string, sr shardRequest[J, I], put func(int, R)) error {
 	body, err := json.Marshal(sr)
 	if err != nil {
 		return fmt.Errorf("cluster: shard request marshal: %w", err)
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	idle := time.AfterFunc(c.idle, cancel)
+	defer idle.Stop()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/internal/shard/"+kind, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -384,6 +437,7 @@ func runShard[J, I, R any](ctx context.Context, c *Coordinator, peer, kind strin
 		return err
 	}
 	defer resp.Body.Close()
+	idle.Reset(c.idle)
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return fmt.Errorf("cluster: peer %s: %s: %s", peer, resp.Status, bytes.TrimSpace(msg))
@@ -391,6 +445,10 @@ func runShard[J, I, R any](ctx context.Context, c *Coordinator, peer, kind strin
 	n := len(sr.Items)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		idle.Reset(c.idle) // the stream delivered bytes, keepalive spaces included
+		return bufio.ScanLines(data, atEOF)
+	})
 	items := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

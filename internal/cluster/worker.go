@@ -23,12 +23,14 @@ import (
 //
 //	POST /v1/internal/shard/explore   evaluate listed design points, NDJSON stream
 //	POST /v1/internal/shard/scale     evaluate listed node counts, NDJSON stream
-//	GET  /v1/internal/ping            worker liveness
+//	GET  /v1/internal/ping            liveness, for older coordinators' probes
 //
 // Responses stream one line per completed item and flush eagerly, so the
 // coordinator sees partial progress the moment it exists; a worker killed
 // mid-shard leaves a truncated stream the coordinator detects by the missing
-// "done" trailer. Evaluation parallelism inside the worker is GOMAXPROCS;
+// "done" trailer. While items evaluate, a space every shardKeepalive shows
+// the coordinator's idle deadline that the worker still answers, however
+// long its items take. Evaluation parallelism inside the worker is GOMAXPROCS;
 // lines may arrive out of index order (each carries its index).
 func WorkerHandler(reg *obs.Registry) http.Handler { return WorkerHandlerDelay(reg, 0) }
 
@@ -38,6 +40,7 @@ func WorkerHandler(reg *obs.Registry) http.Handler { return WorkerHandlerDelay(r
 func WorkerHandlerDelay(reg *obs.Registry, evalDelay time.Duration) http.Handler {
 	w := &worker{
 		delay:     evalDelay,
+		keepalive: shardKeepalive,
 		shardsCtr: reg.Counter("cluster.worker.shards"),
 		itemsCtr:  reg.Counter("cluster.worker.items"),
 		errsCtr:   reg.Counter("cluster.worker.errors"),
@@ -54,6 +57,7 @@ func WorkerHandlerDelay(reg *obs.Registry, evalDelay time.Duration) http.Handler
 
 type worker struct {
 	delay     time.Duration
+	keepalive time.Duration
 	shardsCtr *obs.Counter
 	itemsCtr  *obs.Counter
 	errsCtr   *obs.Counter
@@ -63,6 +67,10 @@ type worker struct {
 // in well under 256 bytes, so the coordinator's maxShardItems cap keeps
 // every shard it sends inside this bound.
 const maxShardBody = 1 << 20
+
+// shardKeepalive is well inside the coordinator's shardIdleTimeout; the
+// slowest item, a 1M-node torus scale point, takes ~1.6 s on one core.
+const shardKeepalive = time.Second
 
 // streamer serializes NDJSON lines onto a response writer, flushing each so
 // the coordinator observes per-item progress.
@@ -87,12 +95,16 @@ func (s *streamer) send(line any) error {
 	if err != nil {
 		return fmt.Errorf("cluster: line marshal: %w", err)
 	}
+	return s.write(append(b, '\n'))
+}
+
+func (s *streamer) write(b []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wrErr != nil {
 		return s.wrErr
 	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
+	if _, err := s.w.Write(b); err != nil {
 		s.wrErr = err
 		return err
 	}
@@ -131,15 +143,31 @@ func serveShard[J, I, R any](wk *worker, prepare func(J, []I) (func(context.Cont
 		}
 		wk.shardsCtr.Inc()
 		st := newStreamer(rw)
-		err = ParallelRange(r.Context(), n, func(ctx context.Context, i int) error {
-			chaosSleep(ctx, wk.delay)
-			res, err := eval(ctx, req.Items[i])
-			if err != nil {
-				return err
+		done := make(chan error, 1)
+		go func() {
+			done <- ParallelRange(r.Context(), n, func(ctx context.Context, i int) error {
+				chaosSleep(ctx, wk.delay)
+				res, err := eval(ctx, req.Items[i])
+				if err != nil {
+					return err
+				}
+				wk.itemsCtr.Inc()
+				return st.send(shardLine[R]{Type: "item", Index: req.Start + i, Item: &res})
+			})
+		}()
+		// The keepalive spaces lead the next line, and JSON allows leading
+		// whitespace, so each line stays one JSON value for any coordinator.
+		tick := time.NewTicker(wk.keepalive)
+	wait:
+		for {
+			select {
+			case err = <-done:
+				break wait
+			case <-tick.C:
+				st.write([]byte{' '})
 			}
-			wk.itemsCtr.Inc()
-			return st.send(shardLine[R]{Type: "item", Index: req.Start + i, Item: &res})
-		})
+		}
+		tick.Stop()
 		if err != nil {
 			// The status line is already out; the truncated stream (no
 			// "done") is the failure signal. Send a best-effort error line

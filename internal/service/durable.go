@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -338,6 +339,21 @@ func (s *Server) runnerForJournal(e store.Entry) (func(context.Context) (any, er
 		return jobRunner(s.cache, sj.key, sj, s.scale), s.jobTimeout(sj.timeout), nil
 	}
 	return nil, 0, fmt.Errorf("unknown job kind %q", e.Kind)
+}
+
+// jobTimeoutOf converts a request's timeout_sec to a job deadline, zero for
+// none. It rejects a negative value and one whose duration does not fit: Go
+// leaves an out-of-range float conversion to the platform (amd64 yields
+// MinInt64), and the scheduler reads a non-positive deadline as none.
+func jobTimeoutOf(sec float64) (time.Duration, error) {
+	if sec < 0 {
+		return 0, fmt.Errorf("negative timeout_sec %v", sec)
+	}
+	d := sec * float64(time.Second)
+	if !(d < math.MaxInt64) {
+		return 0, fmt.Errorf("timeout_sec %v exceeds the longest deadline", sec)
+	}
+	return time.Duration(d), nil
 }
 
 // jobTimeout applies the server default when the request set none.

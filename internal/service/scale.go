@@ -23,8 +23,8 @@ import (
 // reroutes the collectives around the dead nodes and reports the degraded
 // efficiency alongside.
 //
-// Scale jobs ride the same scheduler (async 202 + job id), result cache
-// (canonical-JSON key) and admission governor as /v1/explore.
+// Scale jobs ride the same scheduler (async 202 + job id, shed only by its
+// bounded queue) and result cache (canonical-JSON key) as /v1/explore.
 
 // ScaleRequest is the body of POST /v1/scale. Kernel is required; Topology
 // defaults to "torus", Nodes to the node -> rack -> machine walk
@@ -153,8 +153,9 @@ func (r ScaleRequest) resolve() (scaleJob, error) {
 	if !mask.Empty() {
 		maskStr = mask.String()
 	}
-	if r.TimeoutSec < 0 {
-		return scaleJob{}, fmt.Errorf("negative timeout_sec %v", r.TimeoutSec)
+	timeout, err := jobTimeoutOf(r.TimeoutSec)
+	if err != nil {
+		return scaleJob{}, err
 	}
 	key := hashCanon(scaleCanon{
 		V:         1,
@@ -177,7 +178,7 @@ func (r ScaleRequest) resolve() (scaleJob, error) {
 		mask:    mask,
 		maskStr: maskStr,
 		seed:    r.Seed,
-		timeout: time.Duration(r.TimeoutSec * float64(time.Second)),
+		timeout: timeout,
 		key:     key,
 	}, nil
 }

@@ -161,6 +161,8 @@ func TestScaleRequestValidation(t *testing.T) {
 			"nodes": []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}}, "per-request limit"},
 		{"negative link", map[string]any{"kernel": "CoMD", "link_gbps": -1}, "negative link"},
 		{"negative timeout", map[string]any{"kernel": "CoMD", "timeout_sec": -1}, "negative timeout_sec"},
+		{"timeout past the longest deadline", map[string]any{"kernel": "CoMD", "timeout_sec": 1e10}, "timeout_sec"},
+		{"huge timeout", map[string]any{"kernel": "CoMD", "timeout_sec": 1e300}, "timeout_sec"},
 		{"local fault terms", map[string]any{"kernel": "CoMD", "fault_mask": "gpu:1"}, "non-node terms"},
 		{"mixed fault terms", map[string]any{"kernel": "CoMD", "nodes": []int{64},
 			"fault_mask": "node:1,hbm@0"}, "non-node terms"},

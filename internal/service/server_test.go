@@ -207,6 +207,16 @@ func TestServerEndpoints(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantSubstr: "negative timeout",
 		},
 		{
+			name: "explore timeout past the longest deadline", method: "POST", path: "/v1/explore",
+			body:       map[string]any{"timeout_sec": 1e10},
+			wantStatus: http.StatusBadRequest, wantSubstr: "timeout_sec",
+		},
+		{
+			name: "explore huge timeout", method: "POST", path: "/v1/explore",
+			body:       map[string]any{"timeout_sec": 1e300},
+			wantStatus: http.StatusBadRequest, wantSubstr: "timeout_sec",
+		},
+		{
 			name: "job not found", method: "GET", path: "/v1/jobs/deadbeef",
 			wantStatus: http.StatusNotFound, wantSubstr: "unknown job",
 		},

@@ -22,6 +22,10 @@
 //	GET  /v1/healthz             readiness: 503 while draining
 //	/v1/internal/...             peer shard evaluation, ping and job summary
 //
+// Peer health comes from shard outcomes alone: nothing pings the peers. The
+// worker's ping route stays for coordinators of earlier builds, which probe
+// it during a rolling upgrade.
+//
 // Each kind of work has one load governor, and both shed with 503 +
 // Retry-After: simulate and experiment runs pass one in-handler admission
 // step that resident keys bypass, and explore and scale jobs pass only the
@@ -115,16 +119,15 @@ type Config struct {
 	// CheckpointItems is the checkpointed sweep shard size (default
 	// cluster.DefaultCheckpointItems); only meaningful with Store set.
 	CheckpointItems int
-	// ProbeInterval is the peer health-probe cadence (default 2s).
-	ProbeInterval time.Duration
 	// EvalDelay is a chaos knob: every sweep item evaluated by this process
 	// (coordinator-local or worker shard) sleeps this long first, stretching
 	// sweeps so crash/kill tests have a window to hit. Zero in production.
 	EvalDelay time.Duration
 	// Peers lists worker base URLs ("http://host:port"). When non-empty,
-	// explore and scale sweeps are sharded across them (with per-shard
-	// failover, health-aware peer selection, and local fallback) instead of
-	// evaluated in-process.
+	// explore and scale sweeps are sharded across them instead of evaluated
+	// in-process. A failed shard is requeued for the surviving peers, its
+	// peer sits out later sweeps for a backoff, and shards with no peer left
+	// run locally.
 	Peers []string
 	// WorkerOnly restricts the route table to the internal shard-evaluation
 	// routes plus health and metrics — the enaserve -worker mode. The
@@ -153,7 +156,6 @@ type Server struct {
 	start    time.Time
 	chaos    *faults.Chaos
 	coord    *cluster.Coordinator
-	prober   *cluster.Prober
 	durable  *durableManager
 	draining atomic.Bool
 
@@ -229,11 +231,6 @@ func New(ctx context.Context, cfg Config) *Server {
 			s.coord.EnableCheckpoints(cfg.Store, cfg.CheckpointItems)
 		}
 		s.coord.SetEvalDelay(cfg.EvalDelay)
-		if len(cfg.Peers) > 0 {
-			s.prober = cluster.NewProber(cfg.Peers, cfg.ProbeInterval, reg)
-			s.coord.SetProber(s.prober)
-			go s.prober.Run(ctx)
-		}
 	}
 	s.routes()
 	if s.durable != nil {

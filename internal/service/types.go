@@ -627,8 +627,9 @@ func (r ExploreRequest) resolve() (exploreJob, error) {
 	if err != nil {
 		return exploreJob{}, err
 	}
-	if r.TimeoutSec < 0 {
-		return exploreJob{}, fmt.Errorf("negative timeout_sec %v", r.TimeoutSec)
+	timeout, err := jobTimeoutOf(r.TimeoutSec)
+	if err != nil {
+		return exploreJob{}, err
 	}
 	names := make([]string, len(ks))
 	for i, k := range ks {
@@ -658,7 +659,7 @@ func (r ExploreRequest) resolve() (exploreJob, error) {
 		explorer:   explorer,
 		evalBudget: r.EvalBudget,
 		seed:       r.Seed,
-		timeout:    time.Duration(r.TimeoutSec * float64(time.Second)),
+		timeout:    timeout,
 		key:        key,
 	}, nil
 }
